@@ -54,19 +54,6 @@ class MDS:
         self.served_epoch += 1
         self.served_total += 1
 
-    def serve_batch(self, count: int) -> None:
-        """Serve ``count`` unit-cost ops in one update.
-
-        Bit-identical to ``count`` calls of :meth:`serve`: for any double
-        ``r >= 1`` and integer ``t <= r``, both the stepwise ``r - 1.0``
-        chain and the single ``r - t`` are exact (subtracting an integer
-        from a float at or above 1 never shifts significand bits out),
-        so the engines' capacity accounting cannot drift apart.
-        """
-        self.remaining -= count
-        self.served_epoch += count
-        self.served_total += count
-
     def end_epoch(self, epoch_len: int) -> float:
         """Close the epoch; returns and records this epoch's IOPS."""
         iops = self.served_epoch / epoch_len

@@ -31,7 +31,7 @@ from repro.cluster.stats import AccessStats
 from repro.core.if_model import imbalance_factor, urgency
 from repro.core.plan import EmitEvent, EpochPlan, ExportUnit, PinSubtree, SplitDir
 from repro.core.view import ClusterView, build_cluster_view
-from repro.kernel.engine import ColumnarEngine
+from repro.kernel.engine import ENGINES, ScalarEngine
 from repro.namespace.subtree import AuthorityMap
 from repro.obs.events import (
     DecisionIds,
@@ -45,7 +45,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracelog import TraceLog
 from repro.obs.workload import WorkloadProfile
-from repro.workloads.base import OP_CREATE, OP_READDIR, Client, WorkloadInstance
+from repro.workloads.base import Client, WorkloadInstance
 
 __all__ = ["SimConfig", "Simulator"]
 
@@ -92,10 +92,11 @@ class SimConfig:
     pattern_windows: int = 3
     sibling_probability: float = 0.5
     serve_quantum: int = 8
-    #: serve-path implementation: "columnar" (the batched kernel engine,
-    #: the default) or "scalar" (the op-at-a-time reference loop). Both
-    #: produce byte-identical decision traces — the scalar path is kept
-    #: for differential testing (see docs/PERFORMANCE.md).
+    #: serve-path implementation (``repro.kernel``): "columnar" (the
+    #: default: the reference loop plus the create-storm turbo tick) or
+    #: "scalar" (the reference loop alone). Both produce byte-identical
+    #: decision traces — the scalar engine is kept for differential
+    #: testing (see docs/PERFORMANCE.md).
     engine: str = "columnar"
     seed: int = 0
     stop_when_done: bool = True
@@ -234,19 +235,17 @@ class Simulator:
         #: most recent epoch's characterization (``workload_profile`` only)
         self.last_workload_profile: WorkloadProfile | None = None
         self.balancer = balancer
-        if config.engine == "columnar":
-            self.engine: ColumnarEngine | None = ColumnarEngine(
-                clients=self.clients, mdss=self.mdss, router=self.router,
-                tree=self.tree, stats=self.stats, osd=self.osd,
-                data_busy=self._data_busy,
-                serve_quantum=config.serve_quantum,
-                forward_charge=config.forward_charge,
-                data_window=config.data_window)
-        elif config.engine == "scalar":
-            self.engine = None
-        else:
+        engine_cls = ENGINES.get(config.engine)
+        if engine_cls is None:
             raise ValueError(f"unknown engine {config.engine!r} "
                              "(expected 'columnar' or 'scalar')")
+        self.engine: ScalarEngine = engine_cls(
+            clients=self.clients, mdss=self.mdss, router=self.router,
+            tree=self.tree, stats=self.stats, osd=self.osd,
+            data_busy=self._data_busy,
+            serve_quantum=config.serve_quantum,
+            forward_charge=config.forward_charge,
+            data_window=config.data_window)
 
         self.result = SimResult(
             workload=instance.name,
@@ -413,12 +412,12 @@ class Simulator:
         self._fire_schedule(self.tick)
         self._begin_tick()
         if prof is None:
-            self._serve_tick(self.tick)
+            self._wait_ticks_epoch += self.engine.serve_tick(self.tick)
         else:
             if self.tick == self._epoch_begin_tick:
                 prof.begin("epoch")
             with prof.span("serve"):
-                self._serve_tick(self.tick)
+                self._wait_ticks_epoch += self.engine.serve_tick(self.tick)
         if self.osd is not None:
             now = self.tick
             self.osd.tick()
@@ -474,99 +473,6 @@ class Simulator:
         for m in self.mdss:
             m.migration_penalty = penalty if m.rank in busy else 0.0
             m.refill()
-
-    # ---------------------------------------------------------------- serving
-    def _serve_tick(self, now: int) -> None:
-        if self.engine is not None:
-            self._wait_ticks_epoch += self.engine.serve_tick(now)
-            return
-        self._serve_tick_scalar(now)
-
-    def _serve_tick_scalar(self, now: int) -> None:
-        """The op-at-a-time reference loop (``SimConfig(engine="scalar")``).
-
-        The columnar engine in :mod:`repro.kernel.engine` is decision-
-        equivalent to this loop by contract; any change here must be
-        mirrored there (the differential tests enforce it).
-        """
-        mdss = self.mdss
-        route = self.router.route
-        tree = self.tree
-        stats = self.stats
-        osd = self.osd
-        quantum = self.config.serve_quantum
-        forward_charge = self.config.forward_charge
-        data_window = self.config.data_window
-        data_busy = self._data_busy
-
-        active = [
-            c for c in self.clients
-            if c.done_at is None and c.ready_at <= now and c.cid not in data_busy
-        ]
-        while active:
-            survivors: list[Client] = []
-            for c in active:
-                out_for_tick = False
-                if c.rate is not None:
-                    if c.rate_tick != now:
-                        c.rate_tick = now
-                        c.rate_served = 0
-                    elif c.rate_served >= c.rate:
-                        # rate-exhausted for this tick: skip the client AND
-                        # leave it out of survivors, so the drain loop never
-                        # rescans it in later quantum rounds of this tick
-                        continue
-                for _ in range(quantum):
-                    kind, d, idx, nbytes = c.current  # type: ignore[misc]
-                    ridx = tree.n_files[d] if kind == OP_CREATE else idx
-                    serving, hops = route(c.routing, d, ridx, now)
-                    mds = mdss[serving]
-                    if mds.remaining < 1.0:
-                        # ready but unserved for the rest of this tick:
-                        # one tick of queueing delay for this client
-                        self._wait_ticks_epoch += 1
-                        out_for_tick = True
-                        break
-                    for h in hops:
-                        hop = mdss[h]
-                        hop.remaining -= forward_charge
-                        hop.forwards_handled += 1
-                    mds.serve()
-                    c.meta_ops += 1
-                    if c.rate is not None:
-                        c.rate_served += 1
-                    if kind == OP_CREATE:
-                        new_idx = tree.add_files(d, 1)
-                        stats.record_file_access(d, new_idx, created=True)
-                    elif kind == OP_READDIR or idx < 0:
-                        stats.record_dir_access(d)
-                    else:
-                        stats.record_file_access(d, idx)
-                    if nbytes > 0:
-                        c.data_ops += 1
-                        c.data_bytes += nbytes
-                        if osd is not None:
-                            osd.start(c.cid, float(nbytes))
-                            # Data reads pipeline behind metadata; the
-                            # client stalls only once it outruns the OSD
-                            # pool by more than its prefetch window.
-                            if osd.outstanding(c.cid) > data_window:
-                                data_busy.add(c.cid)
-                                c.advance(now)
-                                out_for_tick = True
-                                break
-                    c.advance(now)
-                    if c.done_at is not None:
-                        if osd is not None and osd.outstanding(c.cid) > 0.0:
-                            data_busy.add(c.cid)
-                        out_for_tick = True
-                        break
-                    if c.ready_at > now or (c.rate is not None and c.rate_served >= c.rate):
-                        out_for_tick = True
-                        break
-                if not out_for_tick:
-                    survivors.append(c)
-            active = survivors
 
     # ---------------------------------------------------------------- epochs
     def _end_epoch(self) -> None:

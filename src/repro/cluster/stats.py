@@ -134,11 +134,11 @@ class AccessStats:
         self._dir_last_access[dir_id] = self.epoch
 
     # ------------------------------------------------------------ batched path
-    # The columnar engine records whole same-directory op runs at once.
-    # Each method is op-for-op equivalent to the scalar calls it replaces:
-    # integer tallies are commutative, and heat accumulates by repeated
-    # ``+= 1.0`` (never ``+= n`` — adding an integer to an arbitrary float
-    # in one step can round differently than n unit steps, and heat feeds
+    # The turbo tick records a client's whole create run of a tick at
+    # once, op-for-op equivalent to the per-op calls it replaces: integer
+    # tallies are commutative, and heat accumulates by repeated ``+= 1.0``
+    # (never ``+= n`` — adding an integer to an arbitrary float in one
+    # step can round differently than n unit steps, and heat feeds
     # golden-traced decisions).
 
     def _bump_heat(self, dir_id: int, count: int) -> None:
@@ -164,49 +164,6 @@ class AccessStats:
         self._visits[dir_id] += count
         self._first[dir_id] += count
         self._created[dir_id] += count
-
-    def record_file_batch(self, dir_id: int, idxs: np.ndarray) -> None:
-        """A run of metadata ops touched existing files ``idxs`` of ``dir_id``.
-
-        Duplicates within the run are recurrent visits by construction
-        (their first occurrence stamped the current epoch); each unique
-        index classifies by its pre-run last-access epoch, exactly as the
-        scalar per-op sequence would.
-        """
-        if idxs.size == 0:
-            return
-        if dir_id >= len(self.heat):
-            self._grow()
-        self._touched_epoch.add(dir_id)
-        unique = np.unique(idxs)
-        prevs = self.tree.touch_file_batch(dir_id, unique, self.epoch)
-        n_first = int(((prevs == NEVER_ACCESSED)
-                       | (self.epoch - prevs > self.recurrence_window)).sum())
-        n = int(idxs.size)
-        self._bump_heat(dir_id, n)
-        self._visits[dir_id] += n
-        self._first[dir_id] += n_first
-        self._recurrent[dir_id] += n - n_first
-
-    def record_dir_batch(self, dir_id: int, count: int) -> None:
-        """A run of ``count`` directory-level ops on ``dir_id``.
-
-        The first op classifies against the stored last access; the rest
-        see the epoch just stamped and are recurrent.
-        """
-        if count <= 0:
-            return
-        if dir_id >= len(self.heat):
-            self._grow()
-        self._touched_epoch.add(dir_id)
-        self._bump_heat(dir_id, count)
-        self._visits[dir_id] += count
-        prev = self._dir_last_access[dir_id]
-        recurrent = count - 1
-        if prev != NEVER_ACCESSED and self.epoch - prev <= self.recurrence_window:
-            recurrent += 1
-        self._recurrent[dir_id] += recurrent
-        self._dir_last_access[dir_id] = self.epoch
 
     # ------------------------------------------------------------- epoch roll
     def end_epoch(self) -> None:

@@ -1,15 +1,15 @@
-"""Columnar serve-path kernel.
+"""Serve-path kernel: the simulator's per-tick serve loop.
 
-The simulator's per-tick hot path, rewritten over batched state: a
-precomputed dir→authority table (:mod:`repro.kernel.authtable`) replaces
-per-request dict walks, and a run-batching engine
-(:mod:`repro.kernel.engine`) serves whole same-directory op runs per
-client per quantum round instead of iterating Python op tuples one at a
-time. Decision equivalence with the scalar reference path is the
-contract — see ``docs/PERFORMANCE.md``.
+:mod:`repro.kernel.engine` holds the one serve loop. ``ScalarEngine`` is
+the reference: clients drained round-robin, one op at a time.
+``ColumnarEngine`` (the default) runs the same loop behind a tick-level
+fast path for create storms, which resolves authority from a
+precomputed dir→authority table (:mod:`repro.kernel.authtable`) and
+serves a whole tick in integer arithmetic. Decision equivalence between
+the two is the contract — see ``docs/PERFORMANCE.md``.
 """
 
 from repro.kernel.authtable import AuthTable
-from repro.kernel.engine import ColumnarEngine
+from repro.kernel.engine import ColumnarEngine, ScalarEngine
 
-__all__ = ["AuthTable", "ColumnarEngine"]
+__all__ = ["AuthTable", "ColumnarEngine", "ScalarEngine"]

@@ -1,12 +1,14 @@
 """Vectorized authority resolution: dir → auth MDS as a flat array.
 
 :class:`~repro.namespace.subtree.AuthorityMap.resolve_dir` walks ancestor
-chains per request with a per-version dict cache. The columnar engine
-instead resolves against a dense array rebuilt only when the authority
-map's version counter moves (migration commits, splits, pins, merges) —
-during a serve phase authority is constant by construction (the migrator
-and the balancer both run outside ``_serve_tick``), so one rebuild
-amortizes over every op of every tick until the next authority event.
+chains per request with a per-version dict cache. The columnar engine's
+turbo tick instead resolves against a dense array rebuilt only when the
+authority map's version counter moves (migration commits, splits, pins,
+merges) — during a serve phase authority is constant by construction
+(the migrator and the balancer both run outside the serve tick), so one
+rebuild amortizes over every op of every tick until the next authority
+event. Fragmented directories get their owner-per-fragment cycle, which
+create streams walk in order.
 
 The rebuild is a parent-pointer propagation: seed the array with the
 subtree roots' ranks, then repeatedly pull each unresolved directory's
@@ -22,28 +24,24 @@ from repro.namespace.subtree import AuthorityMap
 
 __all__ = ["AuthTable"]
 
-#: per-directory fragment info: ``(bits, owners, uniform_owner_or_None)``
-FragInfo = dict[int, tuple[int, dict[int, int], int | None]]
-
 
 class AuthTable:
-    """Dense dir→auth array + fragment summary, keyed to the map version."""
+    """Dense dir→auth list + fragment cycles, keyed to the map version."""
 
     def __init__(self, authmap: AuthorityMap) -> None:
         self.authmap = authmap
         self._version = -1
         self._n_dirs = -1
         self._parent: np.ndarray | None = None
-        self._auth_arr: np.ndarray = np.empty(0, dtype=np.int64)
-        #: plain-list mirror of the array — Python list indexing is what
-        #: the engine's per-run scalar lookups actually pay for
+        #: dir -> auth MDS as a plain list — Python list indexing is what
+        #: the engine's per-client scalar lookups actually pay for
         self.auth: list[int] = []
-        #: fragmented dirs with their live owner maps and, when every frag
-        #: shares one owner, that owner (the uniform fast-path predicate)
-        self.frag_info: FragInfo = {}
+        #: fragmented dir -> the owner every frag shares, or None when the
+        #: frags are split between owners
+        self.frag_uniform: dict[int, int | None] = {}
         #: dir -> dense owner-per-frag_no list (``len == 2**bits``, holes
-        #: filled with the dir authority). The tick-level fast path walks
-        #: this cyclically — create streams visit frag_no ``(n_files + i)
+        #: filled with the dir authority). The turbo tick walks this
+        #: cyclically — create streams visit frag_no ``(n_files + i)
         #: & mask`` — instead of two dict gets per op.
         self.frag_seq: dict[int, list[int]] = {}
         #: dir -> run-length encoding of :attr:`frag_seq`:
@@ -51,18 +49,9 @@ class AuthTable:
         #: Exported fragments cluster, so capacity emulation walks a few
         #: same-owner segments per quantum slice instead of every op.
         self.frag_rle: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        #: dir -> owner -> fragments owned per full cycle (column sums of
-        #: :attr:`frag_seq`; lets per-tick demand accounting charge whole
-        #: cycles at once)
-        self.frag_tot: dict[int, dict[int, int]] = {}
-        #: dir -> generation counter, bumped only when the dir's fragment
-        #: ownership (or its defaulting authority) actually changes — the
-        #: authority-map version moves on every migration commit, which
-        #: would needlessly invalidate warm-cache stamps for every dir
-        self.frag_gen: dict[int, int] = {}
         #: dir -> (bits, owners snapshot, base) the tables were built from
         self._frag_src: dict[int, tuple[int, dict[int, int], int]] = {}
-        #: the subtree roots the auth array was propagated from
+        #: the subtree roots the auth list was propagated from
         self._roots: dict[int, int] = {}
 
     def refresh(self) -> list[int]:
@@ -85,7 +74,6 @@ class AuthTable:
             while bool(unresolved.any()):
                 auth[unresolved] = auth[self._parent[unresolved]]
                 unresolved = auth < 0
-            self._auth_arr = auth
             self.auth = auth.tolist()
             self._roots = dict(roots)
         auth_l = self.auth
@@ -102,12 +90,6 @@ class AuthTable:
                     and prev[1] == owners):
                 continue  # ownership content unchanged: keep the tables
             frag_src[d] = (bits, dict(owners), base)
-            self.frag_gen[d] = self.frag_gen.get(d, 0) + 1
-            distinct = set(owners.values())
-            if len(owners) < (1 << bits):
-                distinct.add(base)  # absent frags default to the dir auth
-            uniform = distinct.pop() if len(distinct) == 1 else None
-            self.frag_info[d] = (bits, owners, uniform)
             seq = [owners.get(fn, base) for fn in range(1 << bits)]
             self.frag_seq[d] = seq
             starts: list[int] = [0]
@@ -124,20 +106,11 @@ class AuthTable:
                     run = 1
             lens.append(run)
             self.frag_rle[d] = (starts, lens, rle_owners)
-            tot: dict[int, int] = {}
-            for owner, fcount in zip(rle_owners, lens):
-                tot[owner] = tot.get(owner, 0) + fcount
-            self.frag_tot[d] = tot
-        if len(seen) != len(self.frag_info):
-            for d in [x for x in self.frag_info if x not in seen]:
-                del self.frag_info[d], self.frag_seq[d]
-                del self.frag_rle[d], self.frag_tot[d], frag_src[d]
-                self.frag_gen[d] = self.frag_gen.get(d, 0) + 1
+            self.frag_uniform[d] = rle_owners[0] if len(rle_owners) == 1 else None
+        if len(seen) != len(self.frag_uniform):
+            for d in [x for x in self.frag_uniform if x not in seen]:
+                del self.frag_uniform[d], self.frag_seq[d]
+                del self.frag_rle[d], frag_src[d]
         self._version = authmap.version
         self._n_dirs = n
         return self.auth
-
-    def auth_array(self) -> np.ndarray:
-        """The dense dir→auth array behind :attr:`auth` (refreshed copy)."""
-        self.refresh()
-        return self._auth_arr.copy()

@@ -150,7 +150,7 @@ class NamespaceTree:
 
         Equivalent to ``count`` :meth:`touch_file` calls on freshly created
         indices (all previous epochs are ``NEVER_ACCESSED``); used by the
-        columnar engine for create runs.
+        columnar engine's turbo tick for create runs.
         """
         if count <= 0:
             return
@@ -160,30 +160,6 @@ class NamespaceTree:
         arr[start:start + count] = epoch
         self._unvisited[dir_id] -= count
         self._bump_epoch_count(dir_id, epoch, count)
-
-    def touch_file_batch(self, dir_id: int, idxs: np.ndarray,
-                         epoch: int) -> np.ndarray:
-        """Batched access of *unique* file indices; returns previous epochs.
-
-        The unvisited stock drops by the number of never-before-accessed
-        indices, exactly as the equivalent :meth:`touch_file` sequence
-        would (duplicates must be deduplicated by the caller: a repeat
-        within one batch reads ``epoch`` back as its previous value).
-        """
-        if idxs.size == 0:
-            return idxs
-        if int(idxs.min()) < 0 or int(idxs.max()) >= self.n_files[dir_id]:
-            raise IndexError(f"file index out of range in dir {dir_id}")
-        arr = self._access_array(dir_id)
-        prevs = arr[idxs].copy()
-        arr[idxs] = epoch
-        self._unvisited[dir_id] -= int((prevs == NEVER_ACCESSED).sum())
-        touched = prevs[prevs != NEVER_ACCESSED]
-        if touched.size:
-            for e, c in zip(*np.unique(touched, return_counts=True)):
-                self._bump_epoch_count(dir_id, int(e), -int(c))
-        self._bump_epoch_count(dir_id, epoch, int(idxs.size))
-        return prevs
 
     def n_files_array(self) -> np.ndarray:
         """Fresh float64 array of per-directory file counts (a copy)."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -91,9 +90,6 @@ class Client:
         "_draws",
         "_draw_pos",
         "_pending",
-        "_buf",
-        "_buf_pos",
-        "_exhausted",
         "_draw_abs",
         "_stalls",
         "_scanned_abs",
@@ -137,11 +133,6 @@ class Client:
         self._draw_abs = 0
         self._stalls: list[int] = []
         self._scanned_abs = 0
-        # Ops buffered ahead of ``current`` by the columnar engine; the
-        # scalar path drains them before touching the generator again.
-        self._buf: list[Op] = []
-        self._buf_pos = 0
-        self._exhausted = False
         self.current: Op | None = next(ops, None)
         self.rate_tick = -1
         self.rate_served = 0
@@ -155,14 +146,7 @@ class Client:
     def advance(self, now: int) -> None:
         """Current op completed at tick ``now``; line up the next one."""
         self.ops_done += 1
-        if self._buf_pos < len(self._buf):
-            self.current = self._buf[self._buf_pos]
-            self._buf_pos += 1
-        else:
-            if self._buf:
-                self._buf = []
-                self._buf_pos = 0
-            self.current = next(self._ops, None)
+        self.current = next(self._ops, None)
         if self.current is None:
             self.done_at = now
             return
@@ -173,31 +157,11 @@ class Client:
                 self.ready_at = now + 1
 
     # ---------------------------------------------------------- batched path
-    # Column views for the engine: ops buffered ahead of the stream, stall
-    # draws peekable in bulk. Every method is advance()-equivalent op for
-    # op; the generator and the client RNG observe the same call sequences
-    # either way (per-client substreams make early pulls value-identical).
-
-    def buffered_ops(self, k: int) -> tuple[list[Op], int, int]:
-        """Ensure ``k`` ops beyond ``current`` are buffered (or the stream
-        is exhausted); returns ``(buffer, start, available)``.
-
-        The engine scans ``buffer[start:start+available]``; ``available``
-        is only smaller than ``k`` once the op stream has ended.
-        """
-        avail = len(self._buf) - self._buf_pos
-        if avail < k and not self._exhausted:
-            if self._buf_pos >= 256:
-                del self._buf[: self._buf_pos]
-                self._buf_pos = 0
-            need = k - avail
-            before = len(self._buf)
-            self._buf.extend(islice(self._ops, need))
-            got = len(self._buf) - before
-            if got < need:
-                self._exhausted = True
-            avail += got
-        return self._buf, self._buf_pos, avail
+    # Bulk views for the turbo tick: stall draws peekable in bulk and
+    # structured streams skippable arithmetically. Every method is
+    # advance()-equivalent op for op; the client RNG observes the same
+    # call sequence either way (per-client substreams make early block
+    # draws value-identical).
 
     def stall_scan(self, n: int) -> int:
         """Index of the first stalling draw among the next ``n``, or -1.
@@ -266,52 +230,26 @@ class Client:
             pos -= 256
         self._draw_pos = pos
 
-    def advance_run(self, count: int, now: int) -> None:
-        """Complete ``count`` ops in one step — ``count`` advance() calls.
-
-        Contract (the engine establishes it via :meth:`buffered_ops` and
-        :meth:`stall_scan`): the ops exist, and no draw before the
-        ``count``-th stalls. Only the last consumed draw may stall; a run
-        that ends the stream consumes ``count - 1`` draws (the advance
-        onto a ``None`` op never draws), exactly like the scalar path.
-        """
-        self.ops_done += count
-        avail = len(self._buf) - self._buf_pos
-        if count <= avail:
-            self._buf_pos += count
-            self.current = self._buf[self._buf_pos - 1]
-            if self._draws is not None:
-                last = self._peek_draw(count - 1)
-                self._consume_draws(count)
-                if last < self.stall_prob:
-                    self.ready_at = now + 1
-        else:
-            # count == avail + 1 with the stream exhausted: final run.
-            self._buf = []
-            self._buf_pos = 0
-            self.current = None
-            self.done_at = now
-            if self._draws is not None and count > 1:
-                self._consume_draws(count - 1)
-
     def stream_left(self) -> int | None:
         """Ops left including ``current``, when knowable without pulling.
 
         Only bulk-skippable streams (:class:`RepeatOps`) can answer;
-        generator-backed clients return None and take the buffered path.
+        generator-backed clients return None.
         """
         ops = self._ops
         if type(ops) is not RepeatOps or self.current is None:
             return None
-        return 1 + (len(self._buf) - self._buf_pos) + ops.left
+        return 1 + ops.left
 
     def advance_bulk(self, count: int, now: int) -> None:
-        """Complete ``count`` ops in one step without buffering them.
+        """Complete ``count`` ops in one step — ``count`` advance() calls.
 
-        Same contract as :meth:`advance_run` — no draw before the
-        ``count``-th stalls, and a run that ends the stream consumes
-        ``count - 1`` draws — but the ops are skipped arithmetically, so
-        the stream must be a :class:`RepeatOps` (every skipped op equals
+        Contract (the engine establishes it via :meth:`stall_scan`): no
+        draw before the ``count``-th stalls. Only the last consumed draw
+        may stall; a run that ends the stream consumes ``count - 1``
+        draws (the advance onto a ``None`` op never draws), exactly like
+        the per-op path. The ops are skipped arithmetically, so the
+        stream must be a :class:`RepeatOps` (every skipped op equals
         ``current``).
         """
         ops = self._ops
@@ -320,16 +258,7 @@ class Client:
         assert left is not None and count <= left
         self.ops_done += count
         if count < left:
-            take = count
-            buffered = len(self._buf) - self._buf_pos
-            if buffered:
-                used = buffered if buffered < take else take
-                self._buf_pos += used
-                if self._buf_pos >= len(self._buf):
-                    self._buf = []
-                    self._buf_pos = 0
-                take -= used
-            ops.left -= take
+            ops.left -= count
             self.current = ops.op
             if self._draws is not None:
                 last = self._peek_draw(count - 1)
@@ -337,8 +266,6 @@ class Client:
                 if last < self.stall_prob:
                     self.ready_at = now + 1
         else:
-            self._buf = []
-            self._buf_pos = 0
             ops.left = 0
             self.current = None
             self.done_at = now

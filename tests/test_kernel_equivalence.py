@@ -4,7 +4,8 @@ The columnar engine's contract is *decision equivalence*: for any config,
 the full balancer-decision trace must be byte-identical to the scalar
 reference's. These tests hold that contract over a matrix of workloads,
 balancers, and serve-loop edge conditions (rate-limited clients, data-path
-stalls, lease expiry, dirfrag redirects), plus the chaos failure path.
+stalls, lease expiry, dirfrag redirects, streams the turbo tick must
+refuse), plus the chaos failure path.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster.simulator import SimConfig
+from repro.balancers import make_balancer
+from repro.cluster.simulator import SimConfig, Simulator
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_traced
+from repro.workloads.base import OP_CREATE, OP_READDIR, RepeatOps
+from repro.workloads.mdtest import MdtestWorkload
 
 SMALL = SimConfig(n_mds=3, mds_capacity=60.0, epoch_len=5, max_ticks=1200,
                   migration_rate=50, seed=0)
@@ -71,6 +75,47 @@ def test_chaos_trace_equivalence():
     _, _, sim_s = run_chaos("flap", seed=1, engine="scalar")
     _, _, sim_c = run_chaos("flap", seed=1, engine="columnar")
     assert sim_s.trace.dumps() == sim_c.trace.dumps()
+
+
+class _SharedDirMdtest(MdtestWorkload):
+    """Clients 0 and 1 create into one directory; the rest into their own."""
+
+    def client_ops(self, built, client_index, seed):
+        d = built.dirs[max(client_index - 1, 0)]
+        return RepeatOps((OP_CREATE, d, -1, 0), self.creates_per_client)
+
+
+class _ReaddirMdtest(MdtestWorkload):
+    """Client 0 lists its directory over and over; the rest create."""
+
+    def client_ops(self, built, client_index, seed):
+        if client_index == 0:
+            return RepeatOps((OP_READDIR, built.dirs[0], -1, 0),
+                             self.creates_per_client)
+        return super().client_ops(built, client_index, seed)
+
+
+@pytest.mark.parametrize("workload", [_SharedDirMdtest, _ReaddirMdtest],
+                         ids=["shared_dir", "readdir_stream"])
+def test_turbo_refusals_equivalent(workload):
+    """Structured streams the turbo tick must refuse serve like the reference.
+
+    Every client streams :class:`RepeatOps`, so only the shared-directory
+    and non-create guards keep these ticks off the create fast path.
+    """
+    runs = []
+    for engine in ("scalar", "columnar"):
+        instance = workload(4, creates_per_client=300).materialize(seed=5)
+        sim = Simulator(instance, make_balancer("lunule"),
+                        SMALL.with_(engine=engine))
+        runs.append((sim.run(), sim))
+    (result_s, sim_s), (result_c, sim_c) = runs
+    assert result_s.meta_ops == 4 * 300
+    assert sim_s.trace.dumps() == sim_c.trace.dumps()
+    assert sim_s.tree.n_files == sim_c.tree.n_files
+    assert result_s.completion_ticks == result_c.completion_ticks
+    assert result_s.served_per_mds == result_c.served_per_mds
+    assert result_s.total_forwards == result_c.total_forwards
 
 
 class TestServeLoopEdges:
@@ -158,8 +203,6 @@ class TestTreeAccessHistogram:
             for d in dirs:
                 for idx in rng.integers(0, 30, size=8):
                     tree.touch_file(d, int(idx), epoch)
-            batch = np.unique(rng.integers(0, 30, size=6))
-            tree.touch_file_batch(dirs[0], batch, epoch)
             first = tree.n_files[dirs[1]]
             tree.add_files(dirs[1], 5)
             tree.touch_file_range(dirs[1], first, 5, epoch)
