@@ -40,18 +40,17 @@ class WaterFillingBalancer(Balancer):
         plan = view.new_plan()
         amount = gap / 2.0
         # Rank export candidates by decayed heat and scale into IOPS units.
-        cands = candidates_for(plan.namespace, hi, view.heat)
-        scale = scale_to_load(cands, loads[hi])
-        if scale <= 0:
+        cands = scale_to_load(candidates_for(plan.namespace, hi, view.heat),
+                              loads[hi])
+        if not cands:
             return None
         remaining = amount
         for c in cands:
             if remaining <= 0:
                 break
-            est = c.load * scale
-            if 0 < est <= remaining * 1.2:
-                plan.export(hi, lo, c.unit, est)
-                remaining -= est
+            if 0 < c.load <= remaining * 1.2:
+                plan.export(hi, lo, c.unit, c.load)
+                remaining -= c.load
         return plan
 
 

@@ -11,7 +11,7 @@ migration traffic keeps flowing (paper Fig. 6: IF close to 1).
 from __future__ import annotations
 
 from repro.balancers.base import Balancer
-from repro.balancers.candidates import Candidate, candidates_for, scale_to_load
+from repro.balancers.candidates import candidates_for, scale_to_load
 from repro.balancers.vanilla import greedy_heat_selection
 from repro.core.plan import EpochPlan
 from repro.core.view import ClusterView
@@ -61,15 +61,10 @@ class GreedySpillBalancer(Balancer):
                                    amount=amount,
                                    did=plan.next_decision_id(),
                                    parent=view.if_decision_id))
-            raw = candidates_for(plan.namespace, i, heat)
-            scale = scale_to_load(raw, loads[i])
-            if scale <= 0.0:
+            scaled = scale_to_load(candidates_for(plan.namespace, i, heat),
+                                   loads[i])
+            if not scaled:
                 continue
-            scaled = [
-                Candidate(c.unit, c.dir_id, c.load * scale, c.inodes,
-                          c.self_load * scale, c.self_files)
-                for c in raw
-            ]
             for cand, load in greedy_heat_selection(plan.namespace, scaled, amount):
                 plan.export(i, j, cand.unit, load, parent=role_id)
         return plan

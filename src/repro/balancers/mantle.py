@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.balancers.base import Balancer
-from repro.balancers.candidates import Candidate, candidates_for, scale_to_load
+from repro.balancers.candidates import candidates_for, scale_to_load
 from repro.balancers.vanilla import greedy_heat_selection
 from repro.core.plan import EpochPlan
 from repro.core.view import ClusterView
@@ -171,15 +171,10 @@ class MantleBalancer(Balancer):
             if not targets:
                 continue
             per_dir = np.asarray(policy.which(view, env), dtype=np.float64)
-            raw = candidates_for(plan.namespace, rank, per_dir)
-            scale = scale_to_load(raw, loads[rank])
-            if scale <= 0:
+            scaled = scale_to_load(candidates_for(plan.namespace, rank, per_dir),
+                                   loads[rank])
+            if not scaled:
                 continue
-            scaled = [
-                Candidate(c.unit, c.dir_id, c.load * scale, c.inodes,
-                          c.self_load * scale, c.self_files)
-                for c in raw
-            ]
             for dst, dst_amount in sorted(targets.items(), key=lambda kv: -kv[1]):
                 if dst == rank or dst_amount <= 0:
                     continue

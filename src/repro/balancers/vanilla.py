@@ -68,8 +68,8 @@ def greedy_heat_selection(ns, candidates: list[Candidate], amount: float,
                 # Too hot to ship whole and flat: split and take one side.
                 frags = ns.split_dir(c.dir_id, 1)
                 half = c.self_load / 2.0
-                chosen.append((Candidate(frags[0], c.dir_id, half, c.inodes // 2,
-                                         half, c.self_files // 2), half))
+                chosen.append((Candidate(frags[0], c.dir_id, half, half,
+                                         c.self_files // 2), half))
                 blocked.add(c.dir_id)
                 remaining -= half
             continue
@@ -147,15 +147,10 @@ class VanillaBalancer(Balancer):
             plan.emit(RoleAssigned(epoch=epoch, rank=i, role="exporter",
                                    amount=amount, did=role_id,
                                    parent=view.if_decision_id))
-            raw = candidates_for(plan.namespace, i, heat)
-            scale = scale_to_load(raw, float(vload[i]))
-            if scale <= 0.0:
+            scaled = scale_to_load(candidates_for(plan.namespace, i, heat),
+                                   float(vload[i]))
+            if not scaled:
                 continue
-            scaled = [
-                Candidate(c.unit, c.dir_id, c.load * scale, c.inodes,
-                          c.self_load * scale, c.self_files)
-                for c in raw
-            ]
             for cand, load in greedy_heat_selection(plan.namespace, scaled, amount):
                 dst = self._pick_destination(gaps, i)
                 if dst is None:

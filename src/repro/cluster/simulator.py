@@ -43,6 +43,7 @@ from repro.obs.events import (
 )
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import NULL_SPANS
 from repro.obs.tracelog import TraceLog
 from repro.obs.workload import WorkloadProfile
 from repro.workloads.base import Client, WorkloadInstance
@@ -184,6 +185,9 @@ class Simulator:
                            capacity=config.record_capacity)
             if config.record else None
         )
+        #: where the phases' spans go: the recorder's profiler, or a no-op
+        self._spans = (self.recorder.spans if self.recorder is not None
+                       else NULL_SPANS)
         self.router = Router(self.authmap, config.forward_charge,
                              lease_ttl=config.client_lease_ttl,
                              metrics=self.metrics)
@@ -386,11 +390,7 @@ class Simulator:
         :meth:`run` executes the exact statement sequence the former
         monolithic loop did.
         """
-        prof = self.recorder.spans if self.recorder is not None else None
-        if prof is not None:
-            with prof.span("setup"):
-                self.apply_plan(self.balancer.setup(self.snapshot_view()))
-        else:
+        with self._spans.span("setup"):
             self.apply_plan(self.balancer.setup(self.snapshot_view()))
         self._perf_t0 = time.perf_counter()
 
@@ -406,18 +406,13 @@ class Simulator:
         if self._halted or self.tick >= cfg.max_ticks:
             self._halted = True
             return False
-        # the profiler handle is hoisted so the common (recorder-off) path
-        # pays a single None check per phase, nothing more
-        prof = self.recorder.spans if self.recorder is not None else None
+        spans = self._spans
         self._fire_schedule(self.tick)
         self._begin_tick()
-        if prof is None:
+        if self.tick == self._epoch_begin_tick:
+            spans.begin("epoch")
+        with spans.span("serve"):
             self._wait_ticks_epoch += self.engine.serve_tick(self.tick)
-        else:
-            if self.tick == self._epoch_begin_tick:
-                prof.begin("epoch")
-            with prof.span("serve"):
-                self._wait_ticks_epoch += self.engine.serve_tick(self.tick)
         if self.osd is not None:
             now = self.tick
             self.osd.tick()
@@ -432,16 +427,12 @@ class Simulator:
                 elif left <= window:
                     self._data_busy.discard(cid)
         down = {m.rank for m in self.mdss if m.failed}
-        if prof is None:
+        with spans.span("migration"):
             self.migrator.tick(down)
-        else:
-            with prof.span("migration"):
-                self.migrator.tick(down)
         self.tick += 1
         if self.tick == self._epoch_end_tick:
             self._end_epoch()
-            if prof is not None:
-                prof.end("epoch")
+            spans.end("epoch")
             if cfg.stop_when_done and self._all_done():
                 self._halted = True
                 return False
@@ -535,18 +526,15 @@ class Simulator:
             self.last_workload_profile = profile
             profile.to_gauges(m)
 
-        rec = self.recorder
-        if rec is None:
-            self.apply_plan(self.balancer.on_epoch(self.snapshot_view()))
-        else:
-            spans = rec.spans
-            with spans.span("snapshot_view"):
-                view = self.snapshot_view()
-            with spans.span("plan"):
-                plan = self.balancer.on_epoch(view)
-            with spans.span("apply_plan"):
-                self.apply_plan(plan)
-            self._record_epoch(rec, if_value, loads, ops)
+        spans = self._spans
+        with spans.span("snapshot_view"):
+            view = self.snapshot_view()
+        with spans.span("plan"):
+            plan = self.balancer.on_epoch(view)
+        with spans.span("apply_plan"):
+            self.apply_plan(plan)
+        if self.recorder is not None:
+            self._record_epoch(self.recorder, if_value, loads, ops)
         # Housekeeping CephFS also performs: merge subtree roots and frag
         # maps that migrations have made redundant, so the authority map
         # (and resolution cost) stays proportional to real fragmentation.

@@ -14,8 +14,6 @@ instead of the migration index.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.balancers.base import Balancer
@@ -64,12 +62,10 @@ class LunuleBalancer(Balancer):
         per_dir = self.per_dir_load(view)
         for msg in decisions:
             src = msg.exporter
-            raw = candidates_for(plan.namespace, src, per_dir)
-            scale = scale_to_load(raw, loads[src])
-            if scale <= 0.0:
+            scaled = scale_to_load(candidates_for(plan.namespace, src, per_dir),
+                                   loads[src])
+            if not scaled:
                 continue
-            scaled = [replace(c, load=c.load * scale, self_load=c.self_load * scale)
-                      for c in raw]
             selector = SubtreeSelector(plan, scaled, tolerance=self.tolerance,
                                        exporter=src, parent=msg.decision_id)
             for dst, amount in sorted(msg.assignments.items(),

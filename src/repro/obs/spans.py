@@ -23,7 +23,8 @@ import json
 import os
 import time
 
-__all__ = ["SpanProfiler", "merge_span_events", "totals_from_events"]
+__all__ = ["NULL_SPANS", "NullSpanProfiler", "SpanProfiler", "merge_span_events",
+           "totals_from_events"]
 
 _CLOCKS = ("logical", "wall")
 
@@ -151,6 +152,37 @@ class SpanProfiler:
             fh.write(self.dumps_perfetto())
             fh.write("\n")
         return len(self._events)
+
+
+class NullSpanProfiler:
+    """A profiler that records nothing.
+
+    A simulator without a flight recorder holds one, so each phase is
+    written once as ``with spans.span(...)`` whether or not recording is
+    on. ``span`` returns the profiler itself as the context manager, so
+    an unrecorded phase costs one call and one empty ``with``.
+    """
+
+    __slots__ = ()
+
+    def span(self, name: str) -> NullSpanProfiler:
+        return self
+
+    def __enter__(self) -> NullSpanProfiler:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+    def begin(self, name: str) -> None:
+        return None
+
+    def end(self, name: str | None = None) -> None:
+        return None
+
+
+#: the shared do-nothing profiler (it holds no state)
+NULL_SPANS = NullSpanProfiler()
 
 
 def merge_span_events(event_lists: list[list[dict]],

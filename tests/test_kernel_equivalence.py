@@ -261,36 +261,3 @@ class TestSparseHeatLoads:
             for root, auth in authmap.subtree_roots().items():
                 ref[auth] += float(sum(heat[d] for d in authmap.extent(root)))
             assert view.heat_loads() == ref, trial
-
-
-class TestSparseCandidates:
-    """The load-skeleton candidate path agrees with the dense walk."""
-
-    def test_positive_candidates_bit_identical(self):
-        import repro.balancers.candidates as cand
-        from repro.namespace.builder import build_fanout
-        from repro.namespace.subtree import AuthorityMap
-
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            b = build_fanout(40, 3)
-            tree = b.tree
-            for i in range(60):
-                tree.add_dir(int(rng.integers(tree.n_dirs)), f"x{i}")
-            ns = AuthorityMap(tree, 0)
-            for d in rng.choice(tree.n_dirs - 1, size=5, replace=False):
-                ns.set_subtree_auth(int(d) + 1, int(rng.integers(3)))
-            for d in rng.choice(b.dirs, size=3, replace=False):
-                tree.add_files(int(d), 8)
-                frags = ns.split_dir(int(d), 1)
-                ns.set_frag_auth(frags[1], int(rng.integers(3)))
-            load = np.where(rng.random(tree.n_dirs) < 0.3,
-                            rng.random(tree.n_dirs) * 10, 0.0)
-            for mds in range(3):
-                dense = cand.candidates_for(ns, mds, load)
-                sparse = cand._candidates_sparse(ns, mds, load)
-                key = lambda c: (c.unit, c.load, c.self_load, c.self_files)
-                assert ([key(c) for c in dense if c.load > 0 or c.is_frag]
-                        == [key(c) for c in sparse if c.load > 0 or c.is_frag])
-                assert (cand.scale_to_load(dense, 100.0)
-                        == cand.scale_to_load(sparse, 100.0))
