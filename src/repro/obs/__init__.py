@@ -72,6 +72,7 @@ from repro.obs.events import (
 from repro.obs.aggregate import merge_metrics_snapshots
 from repro.obs.diff import diff_traces, render_diff, signature
 from repro.obs.outcomes import (
+    LedgerBuilder,
     OutcomeConfig,
     OutcomeEntry,
     OutcomeLedger,
@@ -168,6 +169,7 @@ __all__ = [
     "OutcomeConfig",
     "OutcomeEntry",
     "OutcomeLedger",
+    "LedgerBuilder",
     "build_ledger",
     "aborted_waste",
     "emit_outcomes",

@@ -19,22 +19,36 @@ promised). Each entry gets one verdict from ``OUTCOME_VERDICTS``:
   across the whole run and takes precedence over the ratio verdicts.
 
 Everything is **post-hoc**: ledgers are built from a finished (or
-in-flight, via the serve plane's snapshots) trace and never feed back
-into decisions, so golden traces stay byte-identical with the ledger
-enabled. :func:`aborted_waste` is the one shared join — the chaos
-robustness score reuses it instead of keeping its own copy.
+in-flight, via the serve plane) trace and never feed back into
+decisions, so golden traces stay byte-identical with the ledger enabled.
+:class:`LedgerBuilder` is the one judging path: :func:`build_ledger`
+feeds it a whole trace at once, and ``repro serve`` feeds it each
+epoch's new events, judging again only the commits whose windows are
+still open. :func:`aborted_waste` is the planned-inode join of the abort
+totals, kept for the chaos robustness score's ``reason`` filter.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
-from repro.obs.events import NO_DECISION, MigrationOutcome, TraceEvent
+from repro.obs.events import (
+    NO_DECISION,
+    EpochStart,
+    IfComputed,
+    MigrationAborted,
+    MigrationCommitted,
+    MigrationOutcome,
+    MigrationPlanned,
+    TraceEvent,
+)
 from repro.obs.tracelog import TraceSink
 
 __all__ = [
+    "LedgerBuilder",
     "OutcomeConfig",
     "OutcomeEntry",
     "OutcomeLedger",
@@ -139,18 +153,11 @@ class OutcomeLedger:
 
     def totals(self) -> dict[str, float]:
         """Run-level economics: total cost, benefit, and efficiency."""
-        moved = sum(e.inodes for e in self.entries)
-        realized = sum(e.realized for e in self.entries)
-        expected = sum(e.expected for e in self.entries)
-        return {
-            "migrations": float(len(self.entries)),
-            "moved_inodes": float(moved),
-            "aborted_inodes": float(self.aborted_inodes),
-            "aborted_tasks": float(self.aborted_tasks),
-            "realized": realized,
-            "expected": expected,
-            "efficiency": realized / expected if expected > 0.0 else 0.0,
-        }
+        return _totals(
+            len(self.entries), sum(e.inodes for e in self.entries),
+            sum(e.realized for e in self.entries),
+            sum(e.expected for e in self.entries),
+            self.aborted_tasks, self.aborted_inodes)
 
     def to_dict(self) -> dict:
         """JSON-ready ledger document (``schema`` 1 — the obs-smoke contract)."""
@@ -168,51 +175,47 @@ class OutcomeLedger:
         }
 
 
+def _totals(migrations: int, moved: int, realized: float, expected: float,
+            aborted_tasks: int, aborted_inodes: int) -> dict[str, float]:
+    return {
+        "migrations": float(migrations),
+        "moved_inodes": float(moved),
+        "aborted_inodes": float(aborted_inodes),
+        "aborted_tasks": float(aborted_tasks),
+        "realized": realized,
+        "expected": expected,
+        "efficiency": realized / expected if expected > 0.0 else 0.0,
+    }
+
+
 # ----------------------------------------------------------------- building
-def _epoch_attributor(events: Sequence[TraceEvent]) -> Callable[[int], int]:
-    """Tick → epoch, by the same boundary rule as ``filter_events``."""
-    boundaries = [(e.tick, e.epoch) for e in events  # type: ignore[attr-defined]
-                  if e.etype == "epoch_start"]
-    ticks = [t for t, _ in boundaries]
+def _timeseries_loads(
+    timeseries: Mapping[str, Sequence[float | int | None]] | None,
+) -> dict[int, list[float]] | None:
+    """Per-epoch per-rank load vectors from recorded time-series columns.
 
-    def epoch_of_tick(tick: int) -> int:
-        if not ticks:
-            return 0
-        i = bisect.bisect_left(ticks, tick)
-        return boundaries[i][1] if i < len(ticks) else boundaries[-1][1] + 1
-
-    return epoch_of_tick
-
-
-def _load_history(events: Sequence[TraceEvent],
-                  timeseries: Mapping[str, Sequence[float | int | None]] | None,
-                  ) -> dict[int, list[float]]:
-    """Per-epoch per-rank load vectors, keyed by epoch.
-
-    Preferred source: recorded ``load.<rank>`` time-series columns (exact
-    end-of-epoch values). Fallback: the simulator's own ``if_computed``
-    events, which carry the same per-rank load tuple — so a bare decision
-    trace is self-sufficient.
+    Recorded ``epoch``/``load.<rank>`` columns hold exact end-of-epoch
+    values and, when present, are the ledger's whole load history. None
+    means they are absent: the ledger then reads the simulator's own
+    ``if_computed`` events, which carry the same per-rank load tuple — so
+    a bare decision trace is self-sufficient.
     """
+    if timeseries is None:
+        return None
+    epochs = timeseries.get("epoch")
+    ranks = sorted(
+        (name for name in timeseries if name.startswith("load.")),
+        key=lambda name: int(name.split(".", 1)[1]))
+    if epochs is None or not ranks:
+        return None
+    cols = [timeseries[name] for name in ranks]
     history: dict[int, list[float]] = {}
-    if timeseries is not None:
-        epochs = timeseries.get("epoch")
-        ranks = sorted(
-            (name for name in timeseries if name.startswith("load.")),
-            key=lambda name: int(name.split(".", 1)[1]))
-        if epochs is not None and ranks:
-            cols = [timeseries[name] for name in ranks]
-            for i, epoch_cell in enumerate(epochs):
-                if epoch_cell is None:
-                    continue
-                loads = [float(c[i]) if i < len(c) and c[i] is not None else 0.0
-                         for c in cols]
-                history[int(epoch_cell)] = loads
-            return history
-    for e in events:
-        if e.etype == "if_computed" and getattr(e, "source", "") == "simulator":
-            history[int(e.epoch)] = [  # type: ignore[attr-defined]
-                float(x) for x in e.loads]  # type: ignore[attr-defined]
+    for i, epoch_cell in enumerate(epochs):
+        if epoch_cell is None:
+            continue
+        history[int(epoch_cell)] = [
+            float(c[i]) if i < len(c) and c[i] is not None else 0.0
+            for c in cols]
     return history
 
 
@@ -220,10 +223,12 @@ def aborted_waste(events: Iterable[TraceEvent],
                   reason: str | None = None) -> tuple[int, int]:
     """Aborted migration (tasks, planned inodes), optionally by reason.
 
-    The planned-inode join the ledger *and* the chaos robustness score
-    share: each ``migration_aborted`` is charged the ``inodes`` its
+    The planned-inode join of the ledger's abort totals, as a one-shot
+    function for the chaos robustness score, which needs the ``reason``
+    filter: each ``migration_aborted`` is charged the ``inodes`` its
     ``migration_planned`` parent promised to move (0 when the plan was
-    evicted from a ring trace). ``reason=None`` counts every abort;
+    evicted from a ring trace). ``reason=None`` counts every abort and
+    equals the ledger's ``(aborted_tasks, aborted_inodes)``;
     ``reason="mds_failed"`` is the chaos score's fault-inflicted slice.
     """
     events = list(events)
@@ -241,74 +246,154 @@ def aborted_waste(events: Iterable[TraceEvent],
     return tasks, inodes
 
 
-def build_ledger(
-    events: Iterable[TraceEvent],
-    *,
-    timeseries: Mapping[str, Sequence[float | int | None]] | None = None,
-    config: OutcomeConfig | None = None,
-) -> OutcomeLedger:
-    """Judge every ``migration_committed`` in a trace.
+class LedgerBuilder:
+    """The outcome ledger of a growing trace, kept current as it grows.
 
-    Pure post-hoc analysis: reads the trace (and, when given, a
-    time-series snapshot's ``epoch``/``load.<rank>`` columns for exact
-    load history), writes nothing back. Commits whose plan was ring-
-    evicted are judged ``neutral`` with ``partial=True`` rather than
-    dropped — always-on traces must stay auditable.
+    :meth:`feed` takes trace events in emission order, in chunks of any
+    size. After every chunk, :meth:`ledger` equals :func:`build_ledger`
+    over all events fed so far, and ``len()``, :meth:`verdict_counts` and
+    :meth:`totals` equal that ledger's. The joins a whole-trace build
+    would redo are indices kept as events arrive: plans by decision id
+    and by ``(src, unit)`` for the ping-pong check, the epoch boundaries,
+    per-epoch loads, abort totals, and the commits per rank
+    (:attr:`migrations_in`, :attr:`migrations_out`).
+
+    An entry is **final** once the last closed epoch (the newest
+    ``epoch_start``) is past ``commit_epoch + max(K, W)``: its baseline,
+    benefit and ping-pong windows have closed, and no event emitted later
+    can fall into them. Final entries are judged once and fold into
+    running tallies, so a read costs O(new events + commits whose windows
+    are still open), not a rebuild. Two things are never fixed early. A
+    tick's epoch is that of the first boundary at or after it, so a tick
+    past the last boundary stays provisional until one arrives. And the
+    planning-round waste shares are joined only by :meth:`ledger`: a
+    round is keyed by its plans' epoch, which may still be provisional
+    when an abort or commit arrives, and a late abort or commit can
+    reshape a round long after its plan. The tallies do not use them.
     """
-    cfg = config if config is not None else OutcomeConfig()
-    events = list(events)
-    epoch_of_tick = _epoch_attributor(events)
-    history = _load_history(events, timeseries)
 
-    planned: dict[int, TraceEvent] = {
-        e.did: e for e in events  # type: ignore[attr-defined]
-        if e.etype == "migration_planned"}
-    commits = [e for e in events if e.etype == "migration_committed"]
-    aborts = [e for e in events if e.etype == "migration_aborted"]
-    plans_sorted = sorted(
-        ((e.did, e) for e in planned.values()), key=lambda kv: kv[0])
+    def __init__(
+        self,
+        *,
+        timeseries: Mapping[str, Sequence[float | int | None]] | None = None,
+        config: OutcomeConfig | None = None,
+    ) -> None:
+        self.config = config if config is not None else OutcomeConfig()
+        self._horizon = max(self.config.benefit_epochs,
+                            self.config.pingpong_epochs)
+        history = _timeseries_loads(timeseries)
+        self._loads_from_trace = history is None
+        self._history: dict[int, list[float]] = history or {}
+        #: ``epoch_start`` ticks and epochs, in emission (= tick) order
+        self._boundary_ticks: list[int] = []
+        self._boundary_epochs: list[int] = []
+        self._plans: dict[int, MigrationPlanned] = {}
+        #: (src, unit) -> [(plan did, plan tick)]: who planned a unit off a rank
+        self._replans: dict[tuple[int, int | str], list[tuple[int, int]]] = {}
+        #: commits whose windows are still open, in decision-id order, and
+        #: their judgments as of the last chunk (None: not judged yet)
+        self._open: list[MigrationCommitted] = []
+        self._open_entries: list[OutcomeEntry] | None = None
+        #: final entries (a decision-id prefix) and their tallies; benefit
+        #: is kept as values, not running sums, because ``sum`` compensates
+        #: float rounding on Python >= 3.12 and the tallies must equal
+        #: :meth:`OutcomeLedger.totals` bit for bit
+        self._final: list[OutcomeEntry] = []
+        self._final_verdicts: dict[str, int] = {}
+        self._final_moved = 0
+        self._final_realized: list[float] = []
+        self._final_expected: list[float] = []
+        #: every abort's plan did, for the round-waste join
+        self._abort_parents: list[int] = []
+        self.aborted_tasks = 0
+        self.aborted_inodes = 0
+        #: committed migrations per receiving / exporting rank
+        self.migrations_in: dict[int, int] = {}
+        self.migrations_out: dict[int, int] = {}
 
-    # Round waste: aborted planned inodes, grouped by the *planning* epoch,
-    # shared equally across that round's commits (remainder to the earliest
-    # commit by decision id). A round with no commits keeps its waste in
-    # the run totals but attributes it to nobody.
-    waste_by_epoch: dict[int, int] = {}
-    for a in aborts:
-        plan = planned.get(getattr(a, "parent", NO_DECISION))
-        if plan is None:
-            continue
-        k = epoch_of_tick(plan.tick)  # type: ignore[attr-defined]
-        waste_by_epoch[k] = (waste_by_epoch.get(k, 0)
-                             + plan.inodes)  # type: ignore[attr-defined]
-    commits_by_round: dict[int, list[TraceEvent]] = {}
-    plan_epochs: dict[int, int] = {}
-    for c in commits:
-        plan = planned.get(getattr(c, "parent", NO_DECISION))
-        tick = plan.tick if plan is not None else c.tick  # type: ignore[attr-defined]
-        plan_epochs[c.did] = epoch_of_tick(int(tick))  # type: ignore[attr-defined]
-        commits_by_round.setdefault(plan_epochs[c.did], []).append(c)
-    waste_share: dict[int, int] = {}
-    for k, group in commits_by_round.items():
-        total = waste_by_epoch.get(k, 0)
-        group = sorted(group, key=lambda e: e.did)  # type: ignore[attr-defined]
-        share, rem = divmod(total, len(group))
-        for i, c in enumerate(group):
-            waste_share[c.did] = share + (rem if i == 0 else 0)  # type: ignore[attr-defined]
+    # --------------------------------------------------------------- feeding
+    def feed(self, events: Iterable[TraceEvent]) -> None:
+        """Index the next events (emission order); freeze what became final."""
+        aborts: list[int] = []
+        for e in events:
+            if isinstance(e, IfComputed):
+                if self._loads_from_trace and e.source == "simulator":
+                    self._history[int(e.epoch)] = [float(x) for x in e.loads]
+            elif isinstance(e, EpochStart):
+                self._boundary_ticks.append(e.tick)
+                self._boundary_epochs.append(e.epoch)
+            elif isinstance(e, MigrationPlanned):
+                self._plans[e.did] = e
+                self._replans.setdefault((int(e.src), e.unit), []).append(
+                    (e.did, int(e.tick)))
+            elif isinstance(e, MigrationCommitted):
+                bisect.insort(self._open, e, key=lambda c: c.did)
+                self.migrations_out[e.src] = self.migrations_out.get(e.src, 0) + 1
+                self.migrations_in[e.dst] = self.migrations_in.get(e.dst, 0) + 1
+            elif isinstance(e, MigrationAborted):
+                aborts.append(e.parent)
+        # joined after the whole chunk is indexed, so within one chunk (a
+        # whole-trace build) a plan may follow its abort
+        for parent in aborts:
+            plan = self._plans.get(parent)
+            if plan is not None:
+                self.aborted_inodes += plan.inodes
+        self.aborted_tasks += len(aborts)
+        self._abort_parents += aborts
+        self._open_entries = None
+        self._freeze()
 
-    entries: list[OutcomeEntry] = []
-    for c in sorted(commits, key=lambda e: e.did):  # type: ignore[attr-defined]
-        plan = planned.get(getattr(c, "parent", NO_DECISION))
+    def _freeze(self) -> None:
+        """Judge, once and for all, the open commits whose windows closed."""
+        if not self._boundary_epochs:
+            return
+        last = self._boundary_epochs[-1]
+        n = 0
+        for c in self._open:
+            if self._epoch_of(int(c.tick)) + self._horizon >= last:
+                break  # the final entries stay a decision-id prefix
+            entry = self._judge(c)
+            self._final.append(entry)
+            self._final_verdicts[entry.verdict] = (
+                self._final_verdicts.get(entry.verdict, 0) + 1)
+            self._final_moved += entry.inodes
+            self._final_realized.append(entry.realized)
+            self._final_expected.append(entry.expected)
+            n += 1
+        del self._open[:n]
+
+    # --------------------------------------------------------------- judging
+    def _epoch_of(self, tick: int) -> int:
+        """Tick → epoch, by the same boundary rule as ``filter_events``.
+
+        The epoch whose ``epoch_start`` is the first at or after the tick;
+        a tick past the last boundary belongs to the unclosed next epoch,
+        and with no boundary at all every tick is epoch 0.
+        """
+        ticks = self._boundary_ticks
+        if not ticks:
+            return 0
+        i = bisect.bisect_left(ticks, tick)
+        epochs = self._boundary_epochs
+        return epochs[i] if i < len(ticks) else epochs[-1] + 1
+
+    def _judge(self, c: MigrationCommitted) -> OutcomeEntry:
+        """One commit's entry on what has been fed (``waste`` left 0)."""
+        cfg = self.config
+        history = self._history
+        plan = self._plans.get(c.parent)
         partial = plan is None
-        commit_epoch = epoch_of_tick(int(c.tick))  # type: ignore[attr-defined]
-        plan_epoch = plan_epochs[c.did]  # type: ignore[attr-defined]
-        planned_load = float(getattr(plan, "load", 0.0)) if plan is not None else 0.0
-        dst = int(c.dst)  # type: ignore[attr-defined]
+        commit_epoch = self._epoch_of(int(c.tick))
+        plan_epoch = self._epoch_of(
+            int(plan.tick if plan is not None else c.tick))
+        planned_load = float(plan.load) if plan is not None else 0.0
+        dst = int(c.dst)
 
-        def dst_load(k: int, rank: int = dst) -> float | None:
+        def dst_load(k: int) -> float | None:
             loads = history.get(k)
-            if loads is None or rank >= len(loads):
+            if loads is None or dst >= len(loads):
                 return None
-            return loads[rank]
+            return loads[dst]
 
         base_samples = [v for k in range(max(0, plan_epoch - cfg.benefit_epochs),
                                          plan_epoch)
@@ -334,16 +419,9 @@ def build_ledger(
         # Ping-pong: the same unit planned *off this receiver* by a later
         # decision within W epochs of the commit — whatever became of that
         # later plan, the benefit window was cut short by a reversal.
-        pingpong = False
-        unit = c.unit  # type: ignore[attr-defined]
-        for did2, p2 in plans_sorted:
-            if did2 <= c.did:  # type: ignore[attr-defined]
-                continue
-            if (p2.unit == unit and int(p2.src) == dst  # type: ignore[attr-defined]
-                    and epoch_of_tick(int(p2.tick))  # type: ignore[attr-defined]
-                    <= commit_epoch + cfg.pingpong_epochs):
-                pingpong = True
-                break
+        limit = commit_epoch + cfg.pingpong_epochs
+        pingpong = any(did > c.did and self._epoch_of(tick) <= limit
+                       for did, tick in self._replans.get((dst, c.unit), ()))
 
         if pingpong:
             verdict = "ping_pong"
@@ -356,16 +434,16 @@ def build_ledger(
         else:
             verdict = "wasted"
 
-        entries.append(OutcomeEntry(
-            did=int(c.did),  # type: ignore[attr-defined]
-            plan_did=int(getattr(c, "parent", NO_DECISION)),
+        return OutcomeEntry(
+            did=int(c.did),
+            plan_did=int(c.parent),
             epoch=commit_epoch,
             plan_epoch=plan_epoch,
-            src=int(c.src),  # type: ignore[attr-defined]
+            src=int(c.src),
             dst=dst,
-            unit=unit,
-            inodes=int(c.inodes),  # type: ignore[attr-defined]
-            waste=waste_share.get(int(c.did), 0),  # type: ignore[attr-defined]
+            unit=c.unit,
+            inodes=int(c.inodes),
+            waste=0,
             planned_load=planned_load,
             baseline=baseline,
             realized=realized,
@@ -373,11 +451,88 @@ def build_ledger(
             observed_epochs=observed,
             verdict=verdict,
             partial=partial,
-        ))
+        )
 
-    tasks, inodes = aborted_waste(events)
-    return OutcomeLedger(entries=tuple(entries), config=cfg,
-                         aborted_tasks=tasks, aborted_inodes=inodes)
+    def _judged_open(self) -> list[OutcomeEntry]:
+        if self._open_entries is None:
+            self._open_entries = [self._judge(c) for c in self._open]
+        return self._open_entries
+
+    def _waste_shares(self, entries: Sequence[OutcomeEntry]) -> dict[int, int]:
+        """Each entry's share of its planning round's aborted inodes.
+
+        Aborted planned inodes are grouped by the *planning* epoch and
+        shared equally across that round's commits (remainder to the
+        earliest commit by decision id). A round with no commits keeps
+        its waste in the run totals but attributes it to nobody.
+        """
+        waste: dict[int, int] = {}
+        for parent in self._abort_parents:
+            plan = self._plans.get(parent)
+            if plan is not None:
+                k = self._epoch_of(plan.tick)
+                waste[k] = waste.get(k, 0) + plan.inodes
+        rounds: dict[int, list[int]] = {}
+        for e in entries:
+            rounds.setdefault(e.plan_epoch, []).append(e.did)
+        shares: dict[int, int] = {}
+        for k, dids in rounds.items():
+            share, rem = divmod(waste.get(k, 0), len(dids))
+            for i, did in enumerate(dids):
+                shares[did] = share + (rem if i == 0 else 0)
+        return shares
+
+    # --------------------------------------------------------------- reading
+    def __len__(self) -> int:
+        return len(self._final) + len(self._open)
+
+    def verdict_counts(self) -> dict[str, int]:
+        """Entries per verdict, sorted by verdict name."""
+        out = dict(self._final_verdicts)
+        for e in self._judged_open():
+            out[e.verdict] = out.get(e.verdict, 0) + 1
+        return dict(sorted(out.items()))
+
+    def totals(self) -> dict[str, float]:
+        """Run-level economics, as :meth:`OutcomeLedger.totals`."""
+        opened = self._judged_open()
+        return _totals(
+            len(self._final) + len(opened),
+            self._final_moved + sum(e.inodes for e in opened),
+            sum(chain(self._final_realized, (e.realized for e in opened))),
+            sum(chain(self._final_expected, (e.expected for e in opened))),
+            self.aborted_tasks, self.aborted_inodes)
+
+    def ledger(self) -> OutcomeLedger:
+        """Every commit fed so far, judged, with round waste joined."""
+        entries = self._final + self._judged_open()
+        shares = self._waste_shares(entries)
+        return OutcomeLedger(
+            entries=tuple(replace(e, waste=shares[e.did]) if shares[e.did]
+                          else e for e in entries),
+            config=self.config, aborted_tasks=self.aborted_tasks,
+            aborted_inodes=self.aborted_inodes)
+
+
+def build_ledger(
+    events: Iterable[TraceEvent],
+    *,
+    timeseries: Mapping[str, Sequence[float | int | None]] | None = None,
+    config: OutcomeConfig | None = None,
+) -> OutcomeLedger:
+    """Judge every ``migration_committed`` in a trace.
+
+    Pure post-hoc analysis: reads the trace (and, when given, a
+    time-series snapshot's ``epoch``/``load.<rank>`` columns for exact
+    load history), writes nothing back. Commits whose plan was ring-
+    evicted are judged ``neutral`` with ``partial=True`` rather than
+    dropped — always-on traces must stay auditable. The trace is one
+    :class:`LedgerBuilder` chunk, so a batch build and a live one share
+    a single judging path.
+    """
+    builder = LedgerBuilder(timeseries=timeseries, config=config)
+    builder.feed(events)
+    return builder.ledger()
 
 
 def emit_outcomes(sink: TraceSink, ledger: OutcomeLedger) -> int:

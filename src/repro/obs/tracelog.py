@@ -19,6 +19,7 @@ import bisect
 import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 from typing import Any, Protocol
 
 from repro.obs.events import DecisionIds, TraceEvent, event_from_json, event_to_json
@@ -116,6 +117,18 @@ class TraceLog:
         if etype is None:
             return list(self._events)
         return [e for e in self._events if e.etype == etype]
+
+    def since(self, emitted: int) -> list[TraceEvent]:
+        """Events emitted after an earlier :attr:`emitted` reading.
+
+        Oldest first, in O(new events) rather than O(retained). Raises
+        ``ValueError`` when the ring buffer has evicted some of them.
+        """
+        n = self.emitted - emitted
+        if not 0 <= n <= len(self._events):
+            raise ValueError(f"{n} events since mark {emitted}, "
+                             f"{len(self._events)} retained")
+        return list(islice(reversed(self._events), n))[::-1]
 
     def counts(self) -> dict[str, int]:
         """Retained event count per type tag, sorted by tag."""

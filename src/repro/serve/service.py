@@ -19,6 +19,13 @@ epoch in progress. Every applied mutation is minted as a
 ``config_changed`` trace event with its own decision id, so
 ``repro explain`` shows which knob change preceded which migration.
 
+Live judgment: at every epoch boundary the outcome ledger
+(:class:`~repro.obs.outcomes.LedgerBuilder`) is fed only the trace
+events emitted since the previous boundary. It re-judges only the
+commits whose benefit or ping-pong window is still open, and publishes
+the verdict tallies as ``outcome.*`` gauges and in ``/status``. Each
+boundary's summary equals ``build_ledger`` over the retained trace.
+
 Thread model: one lock guards the simulator; the driver holds it for one
 tick slice at a time, HTTP handlers take it briefly to snapshot status,
 metrics or the time series. Trace events cross to streaming consumers
@@ -29,14 +36,18 @@ never blocking the simulation thread).
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
+from collections.abc import Callable
 from typing import Any
 
 from repro.balancers import make_balancer
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_simulator
 from repro.obs.events import OUTCOME_VERDICTS, ConfigChanged
-from repro.obs.outcomes import build_ledger
+# build_ledger is not called here; the name stays bound because
+# perfbench/layers.py wraps it as a traced span
+from repro.obs.outcomes import LedgerBuilder, build_ledger  # noqa: F401
 from repro.obs.prom import render_openmetrics
 from repro.serve.bus import EventBus
 from repro.serve.sanitizer import guard_writes, sanitize_lock
@@ -46,13 +57,39 @@ __all__ = ["MutationError", "SimulatorService", "STATES"]
 #: service lifecycle: created -> running <-> paused -> done | stopped
 STATES = ("created", "running", "paused", "done", "stopped")
 
-#: initiator tunables settable via POST /config, with their coercions
-_INITIATOR_KEYS: dict[str, type] = {
-    "if_threshold": float,
-    "deviation_threshold": float,
-    "cap_fraction": float,
-    "regression_window": int,
-    "use_urgency": bool,
+
+def _real(raw: Any) -> float:
+    """A finite JSON number; bools and numeric strings are not numbers."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise TypeError(f"expected a number, got {raw!r}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _count(raw: Any) -> int:
+    """An integral JSON number >= 1 (``3.0`` passes, ``3.9`` does not)."""
+    value = _real(raw)
+    if not value.is_integer() or value < 1:
+        raise ValueError(f"expected an integer >= 1, got {raw!r}")
+    return int(value)
+
+
+def _flag(raw: Any) -> bool:
+    """A JSON boolean (the string ``"false"`` is not one)."""
+    if not isinstance(raw, bool):
+        raise TypeError(f"expected true or false, got {raw!r}")
+    return raw
+
+
+#: initiator tunables settable via POST /config, with their validators
+_INITIATOR_KEYS: dict[str, Callable[[Any], object]] = {
+    "if_threshold": _real,
+    "deviation_threshold": _real,
+    "cap_fraction": _real,
+    "regression_window": _count,
+    "use_urgency": _flag,
 }
 
 
@@ -90,14 +127,19 @@ class SimulatorService:
         self._stop_requested = False  # guarded-by: self.lock
         #: ticks granted to :meth:`step` while paused
         self._step_budget = 0  # guarded-by: self.lock
-        #: live cost/benefit ledger summary, rebuilt at epoch boundaries
-        #: from the retained trace (``repro.obs.outcomes``)
+        #: the live outcome ledger, the trace position (``emitted``) fed
+        #: to it and the ring's ``dropped`` count at that point
+        self._ledger = LedgerBuilder()  # guarded-by: self.lock
+        self._ledger_mark = 0  # guarded-by: self.lock
+        self._ledger_dropped = 0  # guarded-by: self.lock
+        #: its summary for ``/status``, refreshed at epoch boundaries
         self._ledger_cache: dict | None = None  # guarded-by: self.lock
         # under REPRO_SANITIZE=1 the runtime checks the same discipline
         # the guarded-by lint proves statically
         guard_writes(self, self.lock,
                      ("state", "result", "_pending", "mutations_applied",
-                      "_stop_requested", "_step_budget", "_ledger_cache"))
+                      "_stop_requested", "_step_budget", "_ledger",
+                      "_ledger_mark", "_ledger_dropped", "_ledger_cache"))
 
     # ------------------------------------------------------------- event tap
     def _tap(self, event: object) -> None:
@@ -172,30 +214,35 @@ class SimulatorService:
         return True
 
     def _refresh_ledger(self) -> None:  # holds-lock: self.lock
-        """Rebuild the outcome-ledger summary from the retained trace.
+        """Bring the outcome ledger up to date and publish its summary.
 
         Runs at epoch boundaries only: the ledger is post-hoc analysis of
         the trace the epoch just extended, and never feeds back into the
         simulation (the served decision trace stays byte-identical to the
-        batch run's). Publishes ``outcome.*`` gauges so ``/metrics``
-        carries the verdict counters, and caches per-rank migrations
-        in/out for ``/status`` and ``repro top``. On a ring-buffered
-        trace the summary covers retained history only.
+        batch run's). The ledger is incremental: it is fed only the events
+        emitted since the last refresh, and an entry becomes final once
+        the newest closed epoch is past its commit epoch + max(K, W), so
+        only commits whose windows are still open are judged again. When
+        the ring buffer has evicted events since the last refresh, a fresh
+        ledger is fed the retained trace instead, so the summary always
+        equals ``build_ledger(sim.trace.events())``: on a ring trace it
+        covers retained history only. Publishes ``outcome.*`` gauges so
+        ``/metrics`` carries the verdict counters, and caches per-rank
+        migrations in/out for ``/status`` and ``repro top``.
         """
         sim = self.sim
-        events = sim.trace.events()
-        ledger = build_ledger(events)
+        trace = sim.trace
+        if trace.dropped != self._ledger_dropped:
+            self._ledger = LedgerBuilder()
+            self._ledger.feed(trace.events())
+            self._ledger_dropped = trace.dropped
+        else:
+            self._ledger.feed(trace.since(self._ledger_mark))
+        self._ledger_mark = trace.emitted
+        ledger = self._ledger
         counts = ledger.verdict_counts()
         totals = ledger.totals()
-        n_mds = len(sim.mdss)
-        moved_in = [0] * n_mds
-        moved_out = [0] * n_mds
-        for e in events:
-            if e.etype == "migration_committed":
-                if e.src < n_mds:  # type: ignore[attr-defined]
-                    moved_out[e.src] += 1  # type: ignore[attr-defined]
-                if e.dst < n_mds:  # type: ignore[attr-defined]
-                    moved_in[e.dst] += 1  # type: ignore[attr-defined]
+        ranks = range(len(sim.mdss))
         m = sim.metrics
         for verdict in sorted(OUTCOME_VERDICTS):
             m.gauge("outcome.migrations", verdict=verdict).set(
@@ -209,8 +256,8 @@ class SimulatorService:
             "efficiency": totals["efficiency"],
             "moved_inodes": int(totals["moved_inodes"]),
             "aborted_inodes": int(totals["aborted_inodes"]),
-            "migrations_in": moved_in,
-            "migrations_out": moved_out,
+            "migrations_in": [ledger.migrations_in.get(r, 0) for r in ranks],
+            "migrations_out": [ledger.migrations_out.get(r, 0) for r in ranks],
         }
 
     def _finish(self) -> None:
@@ -273,8 +320,13 @@ class SimulatorService:
         (the paper's S — applied to both the trigger and the reporting
         IF), the balancing interval ``epoch_len``, and ``balancer`` (swap
         the policy; its ``setup`` plan is applied at the boundary).
-        Raises :class:`MutationError` on anything unappliable, leaving
-        the queue untouched.
+        Values are checked here against the ranges their consumers
+        enforce, so a bad one never reaches a boundary: ``use_urgency``
+        takes a JSON boolean, ``regression_window`` and ``epoch_len`` an
+        integral number >= 1, the float knobs a finite number, and
+        ``urgency_smoothness`` one in (0, 1]. Raises
+        :class:`MutationError` on anything unappliable, leaving the queue
+        untouched.
         """
         if not isinstance(changes, dict) or not changes:
             raise MutationError("expected a non-empty JSON object of "
@@ -295,21 +347,18 @@ class SimulatorService:
                         f"initiator config; {key!r} is not tunable here")
                 return _INITIATOR_KEYS[key](raw)
             if key == "urgency_smoothness":
-                value = float(raw)
-                if value <= 0:
-                    raise MutationError("urgency_smoothness must be positive")
+                value = _real(raw)
+                if not 0.0 < value <= 1.0:
+                    raise MutationError("urgency_smoothness must be in (0, 1]")
                 return value
             if key == "epoch_len":
-                value = int(raw)
-                if value <= 0:
-                    raise MutationError("epoch_len must be positive")
-                return value
+                return _count(raw)
             if key == "balancer":
                 make_balancer(str(raw))  # raises ValueError on unknown names
                 return str(raw)
         except MutationError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MutationError(f"bad value for {key!r}: {exc}") from None
         raise MutationError(
             f"unknown config key {key!r}; settable: "

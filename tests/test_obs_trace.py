@@ -113,6 +113,19 @@ class TestRingBufferMode:
         assert reg.get_value("trace.events_dropped") == 3.0
         assert log.dropped == 3
 
+    def test_since_returns_the_events_after_a_mark(self):
+        log = TraceLog(capacity=4)
+        for tick in range(3):
+            log.emit(EpochStart(epoch=tick, tick=tick))
+        mark = log.emitted
+        assert log.since(mark) == []
+        log.emit(EpochStart(epoch=3, tick=3))
+        log.emit(EpochStart(epoch=4, tick=4))
+        assert [e.epoch for e in log.since(mark)] == [3, 4]
+        assert [e.epoch for e in log.since(1)] == [1, 2, 3, 4]
+        with pytest.raises(ValueError):
+            log.since(0)  # epoch 0 was evicted
+
     def test_unbounded_log_never_counts_drops(self):
         reg = MetricsRegistry()
         log = TraceLog(drop_counter=reg.counter("trace.events_dropped"))

@@ -21,6 +21,8 @@ import pytest
 from repro.cluster.simulator import SimConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_simulator, run_traced
+from repro.obs.events import OUTCOME_VERDICTS
+from repro.obs.outcomes import build_ledger
 from repro.obs.prom import parse_openmetrics
 from repro.obs.provenance import explain, render_explain
 from repro.obs.report import render_run_report
@@ -38,8 +40,8 @@ SERVE_SIM = SimConfig(n_mds=3, mds_capacity=60.0, epoch_len=5,
                       max_ticks=3000, migration_rate=50, seed=0)
 
 
-def serve_cfg(**sim_overrides) -> ExperimentConfig:
-    return ExperimentConfig(workload="mdtest", balancer="lunule", n_clients=8,
+def serve_cfg(workload: str = "mdtest", **sim_overrides) -> ExperimentConfig:
+    return ExperimentConfig(workload=workload, balancer="lunule", n_clients=8,
                             seed=7, scale=0.15,
                             sim=SERVE_SIM.with_(**sim_overrides))
 
@@ -222,7 +224,24 @@ class TestMutations:
             svc.queue_mutations({"balancer": "definitely-not-registered"})
         with pytest.raises(MutationError):
             svc.queue_mutations({})
+        # values their consumers would reject at the boundary (killing a
+        # running service) or misparse: checked at queue time instead
+        for bad in ({"regression_window": 0}, {"regression_window": -3},
+                    {"urgency_smoothness": 2.0},
+                    {"urgency_smoothness": float("nan")},
+                    {"use_urgency": "false"}, {"epoch_len": 3.9},
+                    {"epoch_len": True}, {"if_threshold": float("inf")}):
+            with pytest.raises(MutationError):
+                svc.queue_mutations(bad)
         assert not svc._pending
+
+    def test_valid_values_queue_coerced(self):
+        svc = SimulatorService(serve_cfg())
+        svc.queue_mutations({"use_urgency": False, "regression_window": 3.0,
+                             "epoch_len": 4, "urgency_smoothness": 1})
+        assert svc._pending == [("use_urgency", False),
+                                ("regression_window", 3), ("epoch_len", 4),
+                                ("urgency_smoothness", 1.0)]
 
     def test_initiator_knobs_need_an_initiator(self):
         svc = SimulatorService(ExperimentConfig(
@@ -445,6 +464,68 @@ class TestLedgerPlane:
             for v in ("paid_off", "neutral", "wasted", "ping_pong"))
         assert judged == svc.status()["outcomes"]["judged"]
         assert m.get_value("outcome.aborted_inodes") is not None
+
+    @staticmethod
+    def assert_ledger_matches_batch(svc: SimulatorService) -> None:
+        """/status outcomes and outcome.* gauges == the batch ledger."""
+        sim = svc.sim
+        events = sim.trace.events()
+        ledger = build_ledger(events)
+        counts, totals = ledger.verdict_counts(), ledger.totals()
+        commits = [e for e in events if e.etype == "migration_committed"]
+        ranks = range(len(sim.mdss))
+        assert svc.status()["outcomes"] == {
+            "verdicts": {v: counts.get(v, 0) for v in sorted(OUTCOME_VERDICTS)},
+            "judged": len(ledger),
+            "efficiency": totals["efficiency"],
+            "moved_inodes": int(totals["moved_inodes"]),
+            "aborted_inodes": int(totals["aborted_inodes"]),
+            "migrations_in": [sum(c.dst == r for c in commits) for r in ranks],
+            "migrations_out": [sum(c.src == r for c in commits) for r in ranks],
+        }
+        m = sim.metrics
+        for verdict in OUTCOME_VERDICTS:
+            assert m.get_value("outcome.migrations",
+                               verdict=verdict) == counts.get(verdict, 0)
+        assert m.get_value("outcome.benefit_efficiency") == totals["efficiency"]
+        assert m.get_value("outcome.aborted_inodes") == totals["aborted_inodes"]
+
+    def drive_checking_every_boundary(self, svc: SimulatorService) -> int:
+        """Run to completion tick by tick, checking the ledger at every
+        epoch boundary and after the run; returns the boundaries seen."""
+        svc.start()
+        boundaries = 0
+        with svc.lock:
+            alive = True
+            while alive:
+                epoch = svc.sim.epoch
+                alive = svc._advance(1)
+                if svc.sim.epoch != epoch:
+                    self.assert_ledger_matches_batch(svc)
+                    boundaries += 1
+        svc.run_to_completion()
+        self.assert_ledger_matches_batch(svc)
+        return boundaries
+
+    def test_served_ledger_equals_batch_at_every_boundary(self):
+        svc = SimulatorService(serve_cfg("mixed"))
+        assert self.drive_checking_every_boundary(svc) > 20
+        assert svc.sim.trace.dropped == 0
+        assert set(svc.status()["outcomes"]["verdicts"].values()) != {0}
+
+    def test_ring_trace_that_evicts_early_boundaries(self):
+        """Regression: a tick's epoch is fixed only by the first boundary
+        at or after it. Once the ring has evicted the early epoch_start
+        events, ticks before the first retained boundary belong to it;
+        attributing them when they are fed diverges from the batch
+        ledger of the retained trace."""
+        svc = SimulatorService(serve_cfg("mixed", trace_capacity=96))
+        self.drive_checking_every_boundary(svc)
+        trace = svc.sim.trace
+        assert trace.dropped > 0
+        first = trace.events("epoch_start")[0]
+        assert first.epoch > 0  # epoch 0's boundary was evicted
+        assert svc.status()["outcomes"]["judged"] > 0
 
     def test_ledger_off_without_profiling_still_populates(self):
         # the ledger reads the trace, so it works with profiling off too
