@@ -354,9 +354,24 @@ class Simulator:
         policy acting directly: an export's ``MigrationPlanned`` event (the
         migrator emits it on submission) lands exactly where the policy
         placed the export between its trace events.
+
+        Every rank an action names is checked before any action replays,
+        so a plan that exports to, or pins at, a rank the cluster does not
+        have raises ``ValueError`` and leaves the cluster untouched.
         """
         if plan is None:
             return
+        n_mds = self.n_mds
+        for action in plan.actions:
+            if isinstance(action, ExportUnit):
+                ranks: tuple[int, ...] = (action.src, action.dst)
+            elif isinstance(action, PinSubtree):
+                ranks = (action.rank,)
+            else:
+                continue
+            if not all(0 <= r < n_mds for r in ranks):
+                raise ValueError(f"plan action {action!r} names a rank "
+                                 f"outside 0..{n_mds - 1}")
         for action in plan.actions:
             if isinstance(action, EmitEvent):
                 self.trace.emit(action.event)

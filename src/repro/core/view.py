@@ -147,25 +147,11 @@ class ClusterView:
         heat = self.heat
         authmap = self.authority
         tree = authmap.tree
-        roots = authmap.subtree_roots()
-        root_set = set(roots)
         parent = tree.parent
 
-        owner_memo: dict[int, int] = {r: r for r in root_set}
-
-        def owning_root(d: int) -> int:
-            chain: list[int] = []
-            while d not in owner_memo:
-                chain.append(d)
-                d = parent[d]
-            r = owner_memo[d]
-            for c in chain:
-                owner_memo[c] = r
-            return r
-
         by_root: dict[int, list[int]] = {}
-        for d in np.nonzero(heat)[0]:
-            by_root.setdefault(owning_root(int(d)), []).append(int(d))
+        for d in np.nonzero(heat)[0].tolist():
+            by_root.setdefault(authmap.resolve_dir(d)[1], []).append(d)
 
         pos_memo: dict[int, dict[int, int]] = {}
 
@@ -182,7 +168,7 @@ class ClusterView:
             return tuple(reversed(path))
 
         out = [0.0] * self.n_mds
-        for root, auth in roots.items():
+        for root, auth in authmap.subtree_roots().items():
             members = by_root.get(root)
             if not members:
                 continue

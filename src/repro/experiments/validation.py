@@ -63,6 +63,11 @@ def validate(sim, result: SimResult) -> ValidationReport:
     for root, auth in sim.authmap.subtree_roots().items():
         rep.expect(0 <= auth < sim.n_mds,
                    f"subtree {root} pinned to invalid rank {auth}")
+    for d, (_, owners) in sim.authmap.snapshot_state()[1].items():
+        for frag_no, owner in owners.items():
+            rep.expect(0 <= owner < sim.n_mds,
+                       f"fragment {frag_no} of dir {d} owned by invalid "
+                       f"rank {owner}")
 
     # --- series alignment ---------------------------------------------------
     n = len(result.epoch_ticks)

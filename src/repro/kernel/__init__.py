@@ -3,9 +3,10 @@
 :mod:`repro.kernel.engine` holds the one serve loop. ``ScalarEngine`` is
 the reference: clients drained round-robin, one op at a time.
 ``ColumnarEngine`` (the default) runs the same loop behind a tick-level
-fast path for create storms, which resolves authority from a
-precomputed dir→authority table (:mod:`repro.kernel.authtable`) and
-serves a whole tick in integer arithmetic. Decision equivalence between
+fast path for create storms, which resolves each client's directory once
+per tick, walks fragment owners from per-directory cycles
+(:mod:`repro.kernel.authtable`) and serves a whole tick in integer
+arithmetic. Decision equivalence between
 the two is the contract — see ``docs/PERFORMANCE.md``.
 """
 

@@ -1,24 +1,16 @@
-"""Vectorized authority resolution: dir → auth MDS as a flat array.
+"""Fragment-owner cycles for the turbo tick, keyed to the map version.
 
-:class:`~repro.namespace.subtree.AuthorityMap.resolve_dir` walks ancestor
-chains per request with a per-version dict cache. The columnar engine's
-turbo tick instead resolves against a dense array rebuilt only when the
-authority map's version counter moves (migration commits, splits, pins,
-merges) — during a serve phase authority is constant by construction
-(the migrator and the balancer both run outside the serve tick), so one
-rebuild amortizes over every op of every tick until the next authority
-event. Fragmented directories get their owner-per-fragment cycle, which
-create streams walk in order.
-
-The rebuild is a parent-pointer propagation: seed the array with the
-subtree roots' ranks, then repeatedly pull each unresolved directory's
-value from its parent. Directory ids are assigned child-after-parent, so
-the loop terminates in at most tree-depth iterations, all vectorized.
+Directory authority needs no table here: the turbo tick reads
+:meth:`~repro.namespace.subtree.AuthorityMap.resolve_dir`, the one
+resolver, once per client per tick, and its memo survives every
+fragment change. What the tick does need per fragmented directory is the
+owner of every fragment in ``frag_no`` order, which create streams walk
+cyclically. Those tables are rebuilt only when the authority map's
+version counter moves (migration commits, splits, pins, merges), and
+then only for directories whose owners or base authority changed.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.namespace.subtree import AuthorityMap
 
@@ -26,16 +18,11 @@ __all__ = ["AuthTable"]
 
 
 class AuthTable:
-    """Dense dir→auth list + fragment cycles, keyed to the map version."""
+    """Per-fragmented-dir owner cycles, keyed to the map version."""
 
     def __init__(self, authmap: AuthorityMap) -> None:
         self.authmap = authmap
         self._version = -1
-        self._n_dirs = -1
-        self._parent: np.ndarray | None = None
-        #: dir -> auth MDS as a plain list — Python list indexing is what
-        #: the engine's per-client scalar lookups actually pay for
-        self.auth: list[int] = []
         #: fragmented dir -> the owner every frag shares, or None when the
         #: frags are split between owners
         self.frag_uniform: dict[int, int | None] = {}
@@ -51,32 +38,12 @@ class AuthTable:
         self.frag_rle: dict[int, tuple[list[int], list[int], list[int]]] = {}
         #: dir -> (bits, owners snapshot, base) the tables were built from
         self._frag_src: dict[int, tuple[int, dict[int, int], int]] = {}
-        #: the subtree roots the auth list was propagated from
-        self._roots: dict[int, int] = {}
 
-    def refresh(self) -> list[int]:
-        """Return the dir→auth list, rebuilding if authority changed."""
+    def refresh(self) -> None:
+        """Bring the fragment tables up to the map's current version."""
         authmap = self.authmap
-        tree = authmap.tree
-        n = tree.n_dirs
-        if authmap.version == self._version and n == self._n_dirs:
-            return self.auth
-        if self._parent is None or self._n_dirs != n:
-            parent = np.asarray(tree.parent, dtype=np.int64)
-            parent[0] = 0  # the root is its own fixpoint
-            self._parent = parent
-        roots = authmap.subtree_roots()
-        if n != self._n_dirs or roots != self._roots:
-            auth = np.full(n, -1, dtype=np.int64)
-            for d, mds in roots.items():
-                auth[d] = mds
-            unresolved = auth < 0
-            while bool(unresolved.any()):
-                auth[unresolved] = auth[self._parent[unresolved]]
-                unresolved = auth < 0
-            self.auth = auth.tolist()
-            self._roots = dict(roots)
-        auth_l = self.auth
+        if authmap.version == self._version:
+            return
         frag_src = self._frag_src
         seen: set[int] = set()
         for d in authmap.fragmented_dirs():
@@ -84,7 +51,7 @@ class AuthTable:
             frag = authmap.frag_owners(d)
             assert frag is not None
             bits, owners = frag
-            base = auth_l[d]
+            base = authmap.resolve_dir(d)[0]
             prev = frag_src.get(d)
             if (prev is not None and prev[0] == bits and prev[2] == base
                     and prev[1] == owners):
@@ -112,5 +79,3 @@ class AuthTable:
                 del self.frag_uniform[d], self.frag_seq[d]
                 del self.frag_rle[d], frag_src[d]
         self._version = authmap.version
-        self._n_dirs = n
-        return self.auth

@@ -15,9 +15,11 @@ homogeneous regime: every active client a create stream
 mdtest-style create storm that is the serve path's worst case. There the
 whole tick collapses to integer arithmetic:
 
-- authority comes from the :class:`~repro.kernel.authtable.AuthTable`
-  (rebuilt only on authority-map version bumps) instead of per-request
-  resolution;
+- authority is resolved once per client per tick through
+  :meth:`~repro.namespace.subtree.AuthorityMap.resolve_dir`, and
+  fragment owners come from the per-directory cycles of the
+  :class:`~repro.kernel.authtable.AuthTable` (rebuilt only on
+  authority-map version bumps), instead of one resolution per op;
 - client cuts come from the pre-scanned stall queue
   (:meth:`~repro.workloads.base.Client.stall_scan`);
 - round-robin capacity contention is emulated over per-directory
@@ -186,7 +188,7 @@ class ColumnarEngine(ScalarEngine):
         active = self._active(now)
         if not active:
             return 0
-        auth = self.table.refresh()
+        self.table.refresh()
         router = self.router
         if router.lease_ttl > 0:
             # route() expires leases inside every active client's first
@@ -195,13 +197,12 @@ class ColumnarEngine(ScalarEngine):
             for c in active:
                 router.check_lease(c.routing, now)
         self._wait = 0
-        if not self._turbo_tick(active, now, auth):
+        if not self._turbo_tick(active, now):
             self._serve_rounds(active, now)
         return self._wait
 
     # ------------------------------------------------------------- turbo tick
-    def _turbo_tick(self, active: list[Client], now: int,
-                    auth: list[int]) -> bool:
+    def _turbo_tick(self, active: list[Client], now: int) -> bool:
         """Serve a homogeneous create tick without materializing any op.
 
         Eligible when every active client is an unlimited-rate create
@@ -222,6 +223,7 @@ class ColumnarEngine(ScalarEngine):
         """
         if self.osd is not None:
             return False
+        resolve_dir = self.router.authmap.resolve_dir
         table = self.table
         frag_seq = table.frag_seq
         frag_rle = table.frag_rle
@@ -250,7 +252,8 @@ class ColumnarEngine(ScalarEngine):
             dirs.add(d)
             ds[i] = d
             cache = c.routing.auth_cache
-            if cache.get(d) != auth[d]:
+            auth = resolve_dir(d)[0]
+            if cache.get(d) != auth:
                 slow[i] = True
                 continue
             cut = c.stall_scan(left - 1)
@@ -258,7 +261,7 @@ class ColumnarEngine(ScalarEngine):
             nf = n_files[d]
             seq = frag_seq.get(d)
             if seq is None:
-                owners1[i] = auth[d]
+                owners1[i] = auth
             else:
                 # Warm means every fragment key the tick's creates touch is
                 # cached at its live owner, so route() would neither hop nor

@@ -5,10 +5,13 @@ authority map owns itself and every descendant down to (excluding) any
 nested subtree root. Large directories may additionally be fragmented, in
 which case individual fragments can be delegated to other MDSs.
 
-Resolution is the hot path of the whole simulator (every client op calls
-it), so results are cached per directory and invalidated with a single
-version counter bumped on any authority change — migrations are rare
-relative to requests.
+:meth:`AuthorityMap.resolve_dir` is the one resolver: every layer that
+asks which subtree root, and which rank, govern a directory calls it. It
+is the hot path of the whole simulator (every client op calls it), so it
+memoizes ``dir -> (auth, root)``. Resolution reads only the subtree
+roots, so only the mutators that change the root set or a root's rank
+clear the memo; fragment changes leave it warm. :attr:`AuthorityMap.version`
+still moves on every change, for readers keyed on fragment state too.
 """
 
 from __future__ import annotations
@@ -27,30 +30,39 @@ class AuthorityMap:
         self._subtree_auth: dict[int, int] = {0: initial_mds}
         # dir_id -> (bits, {frag_no: mds}) for fragmented directories.
         self._frags: dict[int, tuple[int, dict[int, int]]] = {}
+        #: bumped by every mutator, fragment changes included
         self.version = 0
-        self._cache: dict[int, tuple[int, int]] = {}  # dir -> (auth, root)
-        self._cache_version = 0
+        #: dir -> (auth, root); cleared only when the roots change
+        self._cache: dict[int, tuple[int, int]] = {}
 
     # ---------------------------------------------------------------- resolve
     def resolve_dir(self, dir_id: int) -> tuple[int, int]:
-        """Return ``(auth_mds, subtree_root)`` for a directory."""
-        if self._cache_version != self.version:
-            self._cache.clear()
-            self._cache_version = self.version
-        hit = self._cache.get(dir_id)
+        """Return ``(auth_mds, subtree_root)`` for a directory.
+
+        Walks up to the nearest subtree root, or to the nearest ancestor
+        already resolved, and memoizes the answer along the way.
+        """
+        cache = self._cache
+        hit = cache.get(dir_id)
         if hit is not None:
             return hit
+        roots = self._subtree_auth
+        parent = self.tree.parent
         path: list[int] = []
-        for d in self.tree.ancestors(dir_id):
-            auth = self._subtree_auth.get(d)
-            if auth is not None:
-                result = (auth, d)
-                for p in path:
-                    self._cache[p] = result
-                self._cache[d] = result
-                return result
+        d = dir_id
+        while d not in roots:
             path.append(d)
-        raise RuntimeError("root directory has no authority")  # pragma: no cover
+            d = parent[d]
+            if d < 0:
+                raise RuntimeError("root directory has no authority")
+            hit = cache.get(d)
+            if hit is not None:
+                break
+        else:
+            hit = cache[d] = (roots[d], d)
+        for p in path:
+            cache[p] = hit
+        return hit
 
     def resolve(self, dir_id: int, file_idx: int = -1) -> int:
         """Authoritative MDS for a file (or the dir itself if ``idx < 0``)."""
@@ -119,6 +131,7 @@ class AuthorityMap:
         if mds < 0:
             raise ValueError("MDS rank must be non-negative")
         self._subtree_auth[dir_id] = mds
+        self._cache.clear()
         self.version += 1
 
     def drop_subtree_root(self, dir_id: int) -> None:
@@ -126,6 +139,7 @@ class AuthorityMap:
         if dir_id == 0:
             raise ValueError("cannot drop the root subtree")
         self._subtree_auth.pop(dir_id, None)
+        self._cache.clear()
         self.version += 1
 
     def merge_redundant_roots(self) -> int:
@@ -143,23 +157,15 @@ class AuthorityMap:
             for d in sorted(self._subtree_auth):
                 if d == 0:
                     continue
-                parent_auth = self._resolve_above(d)
+                parent_auth = self.resolve_dir(self.tree.parent[d])[0]
                 if parent_auth == self._subtree_auth[d]:
                     del self._subtree_auth[d]
+                    self._cache.clear()
                     removed += 1
                     changed = True
         if removed:
             self.version += 1
         return removed
-
-    def _resolve_above(self, dir_id: int) -> int:
-        """Authority the parent chain would give ``dir_id`` if it were not
-        a subtree root itself."""
-        for d in self.tree.ancestors(self.tree.parent[dir_id]):
-            auth = self._subtree_auth.get(d)
-            if auth is not None:
-                return auth
-        raise RuntimeError("root directory has no authority")  # pragma: no cover
 
     def merge_uniform_frags(self, exclude: set[int] | frozenset[int] = frozenset()) -> int:
         """Un-fragment directories whose frags all share the dir authority.
@@ -206,6 +212,8 @@ class AuthorityMap:
 
     def set_frag_auth(self, frag: FragId, mds: int) -> None:
         """Delegate one fragment of a split directory to ``mds``."""
+        if mds < 0:
+            raise ValueError("MDS rank must be non-negative")
         state = self._frags.get(frag.dir_id)
         if state is None or state[0] != frag.bits:
             raise ValueError(f"directory {frag.dir_id} is not split into {frag.bits} bits")

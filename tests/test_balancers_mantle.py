@@ -10,7 +10,7 @@ from repro.balancers.mantle import (
     lunule_selection_policy,
 )
 from repro.cluster.simulator import SimConfig, Simulator
-from repro.workloads import CnnWorkload, ZipfWorkload
+from repro.workloads import CnnWorkload, MdtestWorkload, ZipfWorkload
 
 CFG = SimConfig(n_mds=4, mds_capacity=50, epoch_len=5, max_ticks=3000,
                 migration_rate=100)
@@ -102,6 +102,28 @@ class TestCustomHooks:
         _, res = run(MantleBalancer(MantlePolicy(which=which, name="spy")))
         assert seen["type"] == "ClusterView"
         assert seen["epoch"] >= 0
+
+
+class TestRankBounds:
+    @pytest.mark.parametrize("dst", [3, -1])
+    def test_export_to_missing_rank_raises_before_replay(self, dst):
+        planned_at: list[int] = []
+
+        def where(env, amount):
+            planned_at.append(env.epoch)
+            return {dst: amount}
+
+        wl = MdtestWorkload(6, creates_per_client=300)
+        sim = Simulator(wl.materialize(seed=5),
+                        MantleBalancer(MantlePolicy(where=where, name="bad")),
+                        CFG.with_(n_mds=3))
+        with pytest.raises(ValueError, match="ExportUnit"):
+            sim.run()
+        # the first plan that names the rank is refused whole: nothing of
+        # it reaches the migrator or the trace
+        assert set(planned_at) == {sim.epoch}
+        assert sim.trace.events("migration_planned") == []
+        assert sim.migrator.committed_tasks == 0
 
 
 class TestGreedySpillPolicy:

@@ -131,6 +131,18 @@ class TestDynamics:
             sim.add_clients([inst.clients[0]])
 
 
+class TestApplyPlan:
+    def test_pin_at_missing_rank_replays_nothing(self, make_sim):
+        sim = make_sim("nop")
+        plan = sim.snapshot_view().new_plan()
+        plan.namespace.split_dir(1, 1)
+        plan.namespace.set_subtree_auth(1, sim.n_mds)
+        version = sim.authmap.version
+        with pytest.raises(ValueError, match="PinSubtree"):
+            sim.apply_plan(plan)
+        assert sim.authmap.version == version  # the split was not replayed
+
+
 class TestDataPath:
     def _run(self, balancer="nop"):
         wl = ZipfWorkload(4, files_per_dir=30, reads_per_client=150,

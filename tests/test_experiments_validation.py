@@ -5,6 +5,7 @@ import pytest
 from repro.balancers import make_balancer
 from repro.cluster.simulator import SimConfig, Simulator
 from repro.experiments.validation import ValidationReport, validate
+from repro.namespace.dirfrag import FragId
 from repro.workloads import MdtestWorkload, ZipfWorkload
 
 
@@ -68,6 +69,14 @@ class TestValidationCatchesCorruption:
         sim, res = run_sim("nop")
         res.per_mds_iops[0][0] = 10_000.0
         assert any("capacity" in p for p in validate(sim, res).problems)
+
+    def test_detects_fragment_at_missing_rank(self):
+        sim, res = run_sim("nop")
+        d = sim.tree.n_dirs - 1
+        sim.authmap.split_dir(d, 1)
+        sim.authmap.set_frag_auth(FragId(d, 1, 1), sim.n_mds)
+        problems = validate(sim, res).problems
+        assert any(f"fragment 1 of dir {d}" in p for p in problems), problems
 
     def test_raise_if_failed_raises(self):
         sim, res = run_sim("nop")

@@ -113,6 +113,23 @@ class TestFrags:
         with pytest.raises(ValueError):
             authmap.split_dir(3, 0)
 
+    def test_set_frag_auth_rejects_negative_rank(self, authmap):
+        authmap.split_dir(3, 1)
+        with pytest.raises(ValueError):
+            authmap.set_frag_auth(FragId(3, 1, 0), -1)
+        assert authmap.frag_state(3) == (1, {0: 0, 1: 0})
+
+    def test_fragment_changes_keep_resolutions(self, authmap):
+        # resolution reads only the subtree roots, so a fragment mutator
+        # must leave the resolve memo warm
+        authmap.set_subtree_auth(2, 1)
+        warm = {d: authmap.resolve_dir(d) for d in range(authmap.tree.n_dirs)}
+        authmap.split_dir(3, 1)
+        authmap.set_frag_auth(FragId(3, 1, 1), 2)
+        authmap.merge_uniform_frags()
+        authmap.resolve_dir(1)
+        assert authmap._cache == warm
+
 
 class TestInodeDistribution:
     def test_all_on_zero_initially(self, authmap):

@@ -1,19 +1,24 @@
 """Property-based invariants across the authority map, migration and IF model.
 
 These are the safety properties everything else rests on: every directory
-always has exactly one authority, fragment files partition exactly, inode
-totals are conserved under arbitrary migration sequences, and the IF model
-stays in its documented range.
+always has exactly one authority, the one resolver agrees with a
+from-scratch propagation under any mutation sequence, fragment files
+partition exactly, inode totals are conserved under arbitrary migration
+sequences, and the IF model stays in its documented range.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.migration import Migrator
 from repro.core.if_model import imbalance_factor
+from repro.core.plan import EpochPlan
+from repro.kernel.authtable import AuthTable
 from repro.namespace.builder import build_fanout
+from repro.namespace.dirfrag import FragId
 from repro.namespace.subtree import AuthorityMap
 from repro.namespace.tree import NamespaceTree
 
@@ -69,6 +74,87 @@ class TestAuthorityPartition:
         for raw_d, mds in assignments:
             am.set_subtree_auth(raw_d % tree.n_dirs, mds)
             assert sum(am.inode_distribution(5)) == expected
+
+
+def propagated_authority(am: AuthorityMap) -> list[tuple[int, int]]:
+    """Oracle: every dir's ``(auth, root)`` by dense parent-pointer propagation.
+
+    Seeds each subtree root with its own id, then pulls each unresolved
+    directory's root from its parent until every directory has one. It
+    shares no code or cache with ``AuthorityMap.resolve_dir``.
+    """
+    roots = am.subtree_roots()
+    parent = np.asarray(am.tree.parent, dtype=np.int64)
+    parent[0] = 0  # the root is its own fixpoint
+    owner = np.full(am.tree.n_dirs, -1, dtype=np.int64)
+    for d in roots:
+        owner[d] = d
+    unresolved = owner < 0
+    while bool(unresolved.any()):
+        owner[unresolved] = owner[parent[unresolved]]
+        unresolved = owner < 0
+    return [(roots[r], r) for r in owner.tolist()]
+
+
+def mutate(am: AuthorityMap, step: tuple[int, int, int, int, int]) -> None:
+    """Apply one of the six authority mutators, chosen by ``step[0]``."""
+    op, raw_d, rank, bits, frag_no = step
+    n = am.tree.n_dirs
+    if op == 0:
+        am.set_subtree_auth(raw_d % n, rank)
+    elif op == 1:
+        roots = sorted(r for r in am.subtree_roots() if r != 0)
+        if roots:
+            am.drop_subtree_root(roots[raw_d % len(roots)])
+    elif op == 2:
+        am.merge_redundant_roots()
+    elif op == 3:
+        am.split_dir(raw_d % n, bits)
+    elif op == 4:
+        split = sorted(am.fragmented_dirs())
+        if split:
+            d = split[raw_d % len(split)]
+            dbits = am.frag_state(d)[0]
+            am.set_frag_auth(FragId(d, dbits, frag_no % (1 << dbits)), rank)
+    else:
+        am.merge_uniform_frags()
+
+
+mutation_steps = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 200), st.integers(0, 2),
+              st.integers(1, 3), st.integers(0, 7)),
+    min_size=1, max_size=30)
+
+
+class TestResolverOracle:
+    @given(tree_strategy,
+           st.lists(st.tuples(st.integers(0, 200), st.integers(0, 2)), max_size=5),
+           mutation_steps)
+    @settings(max_examples=100, deadline=None)
+    def test_resolve_dir_matches_propagation_after_every_mutation(
+            self, tree, pins, steps):
+        live = AuthorityMap(tree, 0)
+        for raw_d, rank in pins:
+            live.set_subtree_auth(raw_d % tree.n_dirs, rank)
+        planning = EpochPlan.from_authority(live).namespace
+        table = AuthTable(live)
+        for i, step in enumerate(steps):
+            for am in (live, planning):
+                mutate(am, step)
+                expected = propagated_authority(am)
+                # alternate the read order so walks both start cold at the
+                # leaves and stop early at a resolved parent; every dir is
+                # read, so the memo is warm when the next mutation lands
+                order = range(tree.n_dirs) if i % 2 else reversed(range(tree.n_dirs))
+                for d in order:
+                    assert am.resolve_dir(d) == expected[d], (step, d)
+            assert planning.snapshot_state() == live.snapshot_state()
+            table.refresh()
+            fresh = AuthTable(live)
+            fresh.refresh()
+            assert table.frag_seq == fresh.frag_seq
+            assert table.frag_rle == fresh.frag_rle
+            assert table.frag_uniform == fresh.frag_uniform
 
 
 class TestFragPartition:
