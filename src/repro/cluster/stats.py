@@ -12,13 +12,22 @@ Two statistic families live here, updated from the same access stream:
   spatial-correlation bonus. These produce ``alpha``, ``beta``, ``l_t``,
   ``l_s`` of paper Eq. 4.
 
-Hot-path updates use plain Python lists (faster than NumPy scalar
-indexing); epoch-end aggregation converts to arrays for vectorized math.
+Both are epoch-granular: the balancer reads nothing about an access until
+the epoch boundary. So recording an access only checks its indices and
+appends it to a per-epoch log, and one numpy fold (``AccessStats._fold``)
+applies the pending log: per-file stamps, unvisited counts and epoch
+histograms through :meth:`NamespaceTree.touch_files`, then per-dir
+counters and heat. Every reader folds first — :meth:`AccessStats.end_epoch`,
+:meth:`~AccessStats.heat_array`, :meth:`~AccessStats.live_heat`,
+:meth:`~AccessStats.unvisited_array` and :meth:`~AccessStats.pattern_arrays`.
+Folding a prefix of an epoch and then the rest gives the same state as
+one fold, and the same state the accesses applied one at a time would
+give, so a reader at any point mid-epoch sees exactly that state.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -75,6 +84,13 @@ class AccessStats:
         # the cost scales with the touched population, not the namespace.
         self._touched_epoch: set[int] = set()
         self._heat_live: set[int] = set()
+        # This epoch's accesses not yet folded: the dir and file of each
+        # file access, the log positions of created ones, and the dirs of
+        # dir accesses.
+        self._file_dirs: list[int] = []
+        self._file_idxs: list[int] = []
+        self._created_at: list[int] = []
+        self._dir_log: list[int] = []
         self.epoch = 0
         # Cluster-wide op-mix sums of the epoch just closed (filled by
         # ``end_epoch``); feeds the workload characterization stream.
@@ -104,42 +120,104 @@ class AccessStats:
         visit (the inode was unvisited until this instant) and feeds the
         created-in-window tally so that create streams keep a high spatial
         inclination (beta) even though they leave no unvisited stock behind.
+
+        The access is logged for the next fold. An unknown directory or a
+        file outside ``0 <= file_idx < n_files[dir_id]`` raises
+        ``IndexError`` here, at the op.
         """
-        if dir_id >= len(self.heat):
-            self._grow()
-        self._touched_epoch.add(dir_id)
-        prev = self.tree.touch_file(dir_id, file_idx, self.epoch)
-        self.heat[dir_id] += 1.0
-        self._visits[dir_id] += 1
-        # "Visited" is a sliding notion: each inode carries a boolean queue
-        # of the last n epochs (paper §4.1), so an inode untouched for
-        # longer than the recurrence window counts as unvisited again.
-        if prev == NEVER_ACCESSED or self.epoch - prev > self.recurrence_window:
-            self._first[dir_id] += 1
-            if created:
-                self._created[dir_id] += 1
-        else:
-            self._recurrent[dir_id] += 1
+        if dir_id < 0 or not 0 <= file_idx < self.tree.n_files[dir_id]:
+            raise IndexError(f"file {file_idx} out of range in dir {dir_id}")
+        if created:
+            self._created_at.append(len(self._file_dirs))
+        self._file_dirs.append(dir_id)
+        self._file_idxs.append(file_idx)
 
     def record_dir_access(self, dir_id: int) -> None:
-        """A metadata op touched the directory itself (readdir, mkdir...)."""
-        if dir_id >= len(self.heat):
-            self._grow()
-        self._touched_epoch.add(dir_id)
-        self.heat[dir_id] += 1.0
-        self._visits[dir_id] += 1
-        prev = self._dir_last_access[dir_id]
-        if prev != NEVER_ACCESSED and self.epoch - prev <= self.recurrence_window:
-            self._recurrent[dir_id] += 1
-        self._dir_last_access[dir_id] = self.epoch
+        """A metadata op touched the directory itself (readdir, mkdir...).
 
-    # ------------------------------------------------------------ batched path
-    # The turbo tick records a client's whole create run of a tick at
-    # once, op-for-op equivalent to the per-op calls it replaces: integer
-    # tallies are commutative, and heat accumulates by repeated ``+= 1.0``
+        Logged for the next fold; an unknown directory raises ``IndexError``.
+        """
+        if not 0 <= dir_id < self.tree.n_dirs:
+            raise IndexError(f"unknown directory id {dir_id}")
+        self._dir_log.append(dir_id)
+
+    # -------------------------------------------------------------- the fold
+    # Folded and direct updates commute: integer tallies are commutative,
+    # a file already stamped with this epoch re-touches as recurrent with
+    # no histogram move, and heat accumulates by repeated ``+= 1.0``
     # (never ``+= n`` — adding an integer to an arbitrary float in one
     # step can round differently than n unit steps, and heat feeds
     # golden-traced decisions).
+
+    def _fold(self) -> None:
+        """Apply the logged accesses of this epoch; every reader calls it."""
+        self._grow()
+        if self._file_dirs:
+            self._fold_files()
+        if self._dir_log:
+            self._fold_dirs()
+
+    def _fold_files(self) -> None:
+        n = len(self._file_dirs)
+        dirs = np.fromiter(self._file_dirs, dtype=np.int64, count=n)
+        files = np.fromiter(self._file_idxs, dtype=np.int64, count=n)
+        created = np.zeros(n, dtype=bool)
+        created[self._created_at] = True
+        self._file_dirs.clear()
+        self._file_idxs.clear()
+        self._created_at.clear()
+        # Grouped by (dir, file), each file's accesses kept in order: the
+        # tree classifies them as it would in log order, and each dir's
+        # accesses end up contiguous.
+        order = np.argsort(dirs << 32 | files, kind="stable")
+        dirs = dirs[order]
+        epoch = self.epoch
+        prev = self.tree.touch_files(dirs, files[order], epoch)
+        # "Visited" is a sliding notion: each inode carries a boolean queue
+        # of the last n epochs (paper §4.1), so an inode untouched for
+        # longer than the recurrence window counts as unvisited again.
+        first = (prev == NEVER_ACCESSED) | (prev < epoch - self.recurrence_window)
+        new_dir = np.empty(n, dtype=bool)
+        new_dir[0] = True
+        np.not_equal(dirs[1:], dirs[:-1], out=new_dir[1:])
+        starts = np.flatnonzero(new_dir)
+        touched = dirs[starts].tolist()
+        n_ops = (np.append(starts[1:], n) - starts).tolist()
+        n_first = np.add.reduceat(first, starts).tolist()
+        n_created = np.add.reduceat(first & created[order], starts).tolist()
+        heat = self.heat
+        hot = np.array([heat[d] for d in touched])
+        # unbuffered: one ``+= 1.0`` per access, in order
+        np.add.at(hot, np.cumsum(new_dir) - 1, 1.0)
+        visits, recurrent = self._visits, self._recurrent
+        firsts, creates = self._first, self._created
+        for d, h, c, f, cr in zip(touched, hot.tolist(), n_ops, n_first, n_created):
+            heat[d] = h
+            visits[d] += c
+            firsts[d] += f
+            recurrent[d] += c - f
+            creates[d] += cr
+        self._touched_epoch.update(touched)
+
+    def _fold_dirs(self) -> None:
+        epoch = self.epoch
+        window = self.recurrence_window
+        last = self._dir_last_access
+        for d, c in Counter(self._dir_log).items():
+            # only a dir's first access can miss the window; the rest
+            # follow it within the same epoch
+            prev = last[d]
+            recent = prev != NEVER_ACCESSED and epoch - prev <= window
+            self._recurrent[d] += c if recent else c - 1
+            self._visits[d] += c
+            self._bump_heat(d, c)
+            last[d] = epoch
+            self._touched_epoch.add(d)
+        self._dir_log.clear()
+
+    # ------------------------------------------------------------ batched path
+    # The turbo tick records a client's whole create run of a tick at
+    # once, applied directly: one call per client per tick.
 
     def _bump_heat(self, dir_id: int, count: int) -> None:
         h = self.heat[dir_id]
@@ -168,7 +246,7 @@ class AccessStats:
     # ------------------------------------------------------------- epoch roll
     def end_epoch(self) -> None:
         """Close the current cutting window and roll the pattern stats."""
-        self._grow()
+        self._fold()
         n = self.tree.n_dirs
         # Only touched dirs carry nonzero counters: fill zero arrays from
         # the touched set instead of converting the full per-dir lists.
@@ -195,25 +273,36 @@ class AccessStats:
         # "select one of its sibling subtrees with a certain probability and
         # increment its l_s").
         ls = first.copy()
-        if self.sibling_probability > 0.0:
-            active = np.nonzero(first)[0]
-            stock = self.unvisited_array() if active.size else None
+        active = np.nonzero(first)[0].tolist() if self.sibling_probability > 0.0 else []
+        if active:
+            stock = self.unvisited_array()
+            has_stock = stock > 0
+            # per parent: its children and which of them hold stock, built
+            # at most once per epoch
+            kids_of: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+            parent_of = self.tree.parent
+            children = self.tree.children
+            rng = self._rng
             for d in active:
-                if self._rng.random() >= self.sibling_probability:
+                if rng.random() >= self.sibling_probability:
                     continue
-                parent = self.tree.parent[d]
+                parent = parent_of[d]
                 if parent < 0:
                     continue
-                siblings = self.tree.children[parent]
-                if len(siblings) < 2:
+                kids = kids_of.get(parent)
+                if kids is None:
+                    arr = np.array(children[parent], dtype=np.intp)
+                    kids = kids_of[parent] = (arr, has_stock[arr])
+                siblings, stocked = kids
+                if siblings.size < 2:
                     continue
                 # Spatial locality says the scan will reach a sibling that
                 # still holds unvisited stock — prefer those.
-                unvisited = [s for s in siblings if s != d and stock[s] > 0]
-                pool = unvisited if unvisited else [s for s in siblings if s != d]
-                if not pool:
-                    continue
-                pick = int(pool[self._rng.integers(len(pool))])
+                others = siblings != d
+                pool = siblings[others & stocked]
+                if not pool.size:
+                    pool = siblings[others]
+                pick = int(pool[rng.integers(pool.size)])
                 # A sibling cannot receive more first visits than it has
                 # unvisited stock: cap the bonus so small directories are
                 # not predicted to carry a huge folder's load.
@@ -248,6 +337,8 @@ class AccessStats:
         for d in self._heat_live:
             heat[d] = heat[d] * decay
         self.epoch += 1
+        # no query reads an epoch below the next cutoff again
+        self.tree.forget_access_before(self.epoch - self.recurrence_window)
 
     # -------------------------------------------------------------- snapshots
     def live_heat(self) -> tuple[list[float], int]:
@@ -258,14 +349,15 @@ class AccessStats:
         population size, never a dense array. Iterates the live set in
         sorted order so downstream math is deterministic.
         """
+        self._fold()
         heat = self.heat
         values = [heat[d] for d in sorted(self._heat_live | self._touched_epoch)
                   if d < len(heat) and heat[d] > 0.0]
         return values, self.tree.n_dirs
 
     def heat_array(self) -> np.ndarray:
-        """Decayed heat per directory (accesses add to it immediately)."""
-        self._grow()
+        """Decayed heat per directory, every access so far included."""
+        self._fold()
         heat = self.heat
         out = np.zeros(len(heat))
         for d in self._heat_live:
@@ -281,6 +373,7 @@ class AccessStats:
         scanned long ago regains unvisited stock as its inodes' boolean
         queues drain, making it a spatial-locality candidate again.
         """
+        self._fold()
         tree = self.tree
         cutoff = self.epoch - self.recurrence_window
         # Never-touched directories contribute their full file count; for
@@ -294,7 +387,7 @@ class AccessStats:
 
     def pattern_arrays(self) -> dict[str, np.ndarray]:
         """Window sums for mIndex computation (copies, per-dir)."""
-        self._grow()
+        self._fold()
         return {
             "visits": self.win_visits.copy(),
             "recurrent": self.win_recurrent.copy(),

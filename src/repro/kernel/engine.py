@@ -4,9 +4,16 @@
 clients and drains them round-robin, at most ``serve_quantum`` ops per
 client per round, one op at a time through
 :meth:`ScalarEngine._serve_op`: route, capacity check, forward charges,
-serve, stats, advance. Round-robin interleaving is the only thing
-capacity contention and shared-directory creates can observe, so every
-engine preserves it exactly.
+serve, log the access, advance. Round-robin interleaving is the only
+thing capacity contention and shared-directory creates can observe, so
+every engine preserves it exactly.
+
+Logging an access is an O(1) append:
+:meth:`~repro.cluster.stats.AccessStats.record_file_access` and
+:meth:`~repro.cluster.stats.AccessStats.record_dir_access` check the
+op's indices and queue it, and :class:`~repro.cluster.stats.AccessStats`
+folds the epoch's queue with numpy when it is next read, at the latest at
+the epoch boundary. Nothing in the serve loop reads access statistics.
 
 :class:`ColumnarEngine` (the default) is the same loop plus one
 tick-level fast path, :meth:`ColumnarEngine._turbo_tick`, for the
@@ -126,7 +133,7 @@ class ScalarEngine:
         return _SURVIVE
 
     def _serve_op(self, c: Client, now: int) -> int:
-        """Route, serve and record the op at the head of ``c``'s stream."""
+        """Route, serve and log the op at the head of ``c``'s stream."""
         tree = self.tree
         kind, d, idx, nb = c.current  # type: ignore[misc]
         ridx = tree.n_files[d] if kind == OP_CREATE else idx

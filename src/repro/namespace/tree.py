@@ -41,9 +41,12 @@ class NamespaceTree:
         # epoch ``_access_base[d] + i``. Maintained incrementally by the
         # touch methods so sliding-window queries (how many files were
         # accessed at epoch >= cutoff?) read a few trailing entries instead
-        # of rescanning every access array each epoch.
+        # of rescanning every access array each epoch. Slots below
+        # ``_access_floor`` are forgotten (:meth:`forget_access_before`),
+        # and a dir with no file at or above the floor has no entry.
         self._access_base: dict[int, int] = {}
         self._access_counts: dict[int, list[int]] = {}
+        self._access_floor = 0
         # Incrementally maintained float64 mirror of ``n_files`` (capacity
         # doubled on growth; first ``n_dirs`` entries valid). Epoch-level
         # consumers read whole-namespace file counts every epoch — at
@@ -87,6 +90,10 @@ class NamespaceTree:
 
     # ------------------------------------------------------------ access state
     def _bump_epoch_count(self, dir_id: int, epoch: int, delta: int) -> None:
+        if epoch < self._access_floor:
+            # a forgotten slot: the file left every window a query can
+            # still ask about, so there is nothing to move
+            return
         counts = self._access_counts.get(dir_id)
         if counts is None:
             self._access_base[dir_id] = epoch
@@ -105,8 +112,9 @@ class NamespaceTree:
         """Yield ``(dir_id, count)`` of files last accessed at epoch >= cutoff.
 
         Reads the incremental epoch histograms, so the cost is proportional
-        to the number of *touched* directories times the window width — not
-        to the total file population.
+        to the number of recently touched directories times the window
+        width — not to the total file population. ``cutoff`` must not be
+        below the floor set by :meth:`forget_access_before`.
         """
         for d, counts in self._access_counts.items():
             lo = cutoff - self._access_base[d]
@@ -116,6 +124,26 @@ class NamespaceTree:
                 c = sum(counts[lo:])
                 if c:
                     yield d, c
+
+    def forget_access_before(self, cutoff: int) -> None:
+        """Drop the histogram slots of epochs below ``cutoff``.
+
+        The caller promises never to ask :meth:`recently_accessed` about
+        an earlier cutoff again, so those slots can no longer be read. A
+        dir left with an all-zero window leaves the histograms.
+        """
+        if cutoff <= self._access_floor:
+            return
+        self._access_floor = cutoff
+        base = self._access_base
+        hist = self._access_counts
+        for d in [d for d, b in base.items() if b < cutoff]:
+            counts = hist[d]
+            del counts[: cutoff - base[d]]
+            if any(counts):
+                base[d] = cutoff
+            else:
+                del hist[d], base[d]
 
     def _access_array(self, dir_id: int) -> np.ndarray:
         arr = self._file_last_access.get(dir_id)
@@ -131,17 +159,73 @@ class NamespaceTree:
         """Record an access; returns the previous last-access epoch.
 
         A return of :data:`NEVER_ACCESSED` means this is a first visit.
+        The one-access case of :meth:`touch_files`.
         """
-        if not 0 <= file_idx < self.n_files[dir_id]:
-            raise IndexError(f"file {file_idx} out of range in dir {dir_id}")
-        arr = self._access_array(dir_id)
-        prev = int(arr[file_idx])
-        arr[file_idx] = epoch
-        if prev == NEVER_ACCESSED:
-            self._unvisited[dir_id] -= 1
-        else:
-            self._bump_epoch_count(dir_id, prev, -1)
-        self._bump_epoch_count(dir_id, epoch, 1)
+        prev = self.touch_files(np.array([dir_id]), np.array([file_idx]), epoch)
+        return int(prev[0])
+
+    def touch_files(self, dir_ids: np.ndarray, file_idxs: np.ndarray,
+                    epoch: int) -> np.ndarray:
+        """Record the accesses ``(dir_ids[i], file_idxs[i])``, all at ``epoch``.
+
+        Returns each access's previous last-access epoch, exactly as
+        calling :meth:`touch_file` once per access in order would: the
+        first access to a file sees its stored epoch, a repeat sees
+        ``epoch``. Each distinct file's stamp is read and written once,
+        and the unvisited counts and epoch histograms move once per file.
+        Raises ``IndexError`` before touching anything if an access names
+        an unknown directory or a file outside ``0 <= f < n_files[d]``.
+        """
+        n = dir_ids.size
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        # the sort key packs a file index into the low 32 bits
+        if (dir_ids.min() < 0 or dir_ids.max() >= len(self.parent)
+                or file_idxs.min() < 0 or file_idxs.max() > 0xFFFFFFFF):
+            raise IndexError("access to an unknown directory or file")
+        keys = dir_ids.astype(np.int64) << 32 | file_idxs
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        head = np.empty(n, dtype=bool)  # first access to each file
+        head[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        ukeys = keys[head]
+        udirs = ukeys >> 32
+        ufiles = ukeys & 0xFFFFFFFF
+        starts = np.flatnonzero(np.concatenate(([True], udirs[1:] != udirs[:-1])))
+        dirs = udirs[starts]
+        ends = np.append(starts[1:], ukeys.size)
+        # within a dir the files are sorted, so its last is its largest
+        if (ufiles[ends - 1] >= self._n_files_arr[dirs]).any():
+            raise IndexError("access to a file index out of range")
+        old = np.empty(ukeys.size, dtype=np.int64)
+        for d, lo, hi in zip(dirs.tolist(), starts.tolist(), ends.tolist()):
+            arr = self._access_array(d)
+            files = ufiles[lo:hi]
+            old[lo:hi] = arr[files]
+            arr[files] = epoch
+        # A file already stamped ``epoch`` moves nowhere in the histogram.
+        moved = old != epoch
+        never = old == NEVER_ACCESSED
+        n_never = np.add.reduceat(never, starts).tolist()
+        n_moved = np.add.reduceat(moved, starts).tolist()
+        unvisited = self._unvisited
+        for d, nv, mv in zip(dirs.tolist(), n_never, n_moved):
+            unvisited[d] -= nv
+            if mv:
+                self._bump_epoch_count(d, epoch, mv)
+        # stamps below the floor left every window: nothing to take back
+        # (``NEVER_ACCESSED`` sits below any floor too)
+        left = moved & (old >= self._access_floor)
+        if left.any():
+            slots, counts = np.unique(udirs[left] << 32 | old[left],
+                                      return_counts=True)
+            for slot, c in zip(slots.tolist(), counts.tolist()):
+                self._bump_epoch_count(slot >> 32, slot & 0xFFFFFFFF, -c)
+        prev_sorted = np.full(n, epoch, dtype=np.int64)
+        prev_sorted[head] = old
+        prev = np.empty(n, dtype=np.int64)
+        prev[order] = prev_sorted
         return prev
 
     def touch_file_range(self, dir_id: int, start: int, count: int,

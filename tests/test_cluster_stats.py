@@ -1,8 +1,10 @@
 """AccessStats: heat, cutting windows, locality classification."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.stats import AccessStats
+from repro.namespace.tree import NEVER_ACCESSED, NamespaceTree
 
 
 @pytest.fixture
@@ -150,3 +152,61 @@ class TestGrowth:
         p = stats.pattern_arrays()
         assert p["visits"][d] == 1
         assert stats.unvisited_array()[d] == 1
+
+
+class TestOpTimeChecks:
+    def test_file_out_of_range_raises_at_the_op(self, stats):
+        with pytest.raises(IndexError):
+            stats.record_file_access(1, 3)  # dir 1 holds files 0..2
+        with pytest.raises(IndexError):
+            stats.record_file_access(1, -1)
+        stats.end_epoch()  # nothing was logged
+        assert stats.pattern_arrays()["visits"][1] == 0
+
+    @pytest.mark.parametrize("dir_id", [-1, 5, 99])
+    def test_unknown_dir_raises_at_the_op(self, stats, dir_id):
+        with pytest.raises(IndexError):
+            stats.record_file_access(dir_id, 0)
+        with pytest.raises(IndexError):
+            stats.record_dir_access(dir_id)
+
+
+class TestHistogramFloor:
+    """The tree forgets the histogram slots no window reads any more."""
+
+    def test_long_run_keeps_histograms_within_the_window(self):
+        rng = np.random.default_rng(3)
+        tree = NamespaceTree()
+        dirs = [tree.add_dir(0, f"d{i}") for i in range(4)]
+        for d in dirs:
+            tree.add_files(d, 20)
+        window = 3
+        stats = AccessStats(tree, recurrence_window=window,
+                            sibling_probability=0.5, seed=2)
+
+        def check_lists():
+            assert all(len(c) <= window + 1
+                       for c in tree._access_counts.values())
+
+        for _ in range(2000):
+            # a few dirs re-touched; the rest idle, some past the window
+            for d in rng.choice(dirs, size=rng.integers(0, 3), replace=False):
+                d = int(d)
+                for f in rng.integers(0, tree.n_files[d], size=rng.integers(1, 6)):
+                    stats.record_file_access(d, int(f))
+            if rng.random() < 0.1:
+                d = dirs[rng.integers(len(dirs))]
+                stats.record_create_batch(d, tree.add_files(d, 2), 2)
+            if rng.random() < 0.2:
+                stats.heat_array()  # a fold mid-epoch
+                check_lists()
+            stats.end_epoch()
+            check_lists()
+            # a dir with an all-zero window has left the histograms
+            assert all(any(c) for c in tree._access_counts.values())
+            cutoff = stats.epoch - window
+            want = tree.n_files_array()
+            for d, arr in tree._file_last_access.items():
+                arr = arr[: tree.n_files[d]]
+                want[d] -= ((arr != NEVER_ACCESSED) & (arr >= cutoff)).sum()
+            assert np.array_equal(stats.unvisited_array(), want)

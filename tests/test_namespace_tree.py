@@ -1,5 +1,8 @@
 """NamespaceTree: structure, file state, traversal."""
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.namespace.tree import NEVER_ACCESSED, NamespaceTree
@@ -91,6 +94,41 @@ class TestTouch:
         assert tree.touch_file(1, idx + 5, epoch=2) == NEVER_ACCESSED
         # earlier state survived the growth
         assert tree.touch_file(1, 0, epoch=3) == 1
+
+    def test_batched_touch_matches_one_at_a_time(self, tree):
+        rng = np.random.default_rng(5)
+        twin = copy.deepcopy(tree)
+        dirs = np.array([1, 2, 3])
+        for epoch in range(6):
+            ds = rng.choice(dirs, size=25)
+            fs = np.array([rng.integers(tree.n_files[d]) for d in ds])
+            got = tree.touch_files(ds, fs, epoch)
+            want = [twin.touch_file(int(d), int(f), epoch) for d, f in zip(ds, fs)]
+            assert got.tolist() == want
+            assert tree._unvisited == twin._unvisited
+            assert dict(tree.recently_accessed(epoch - 2)) == \
+                dict(twin.recently_accessed(epoch - 2))
+            for d in dirs:
+                assert np.array_equal(tree._file_last_access[d][: tree.n_files[d]],
+                                      twin._file_last_access[d][: twin.n_files[d]])
+
+    def test_batched_touch_checks_before_writing(self, tree):
+        with pytest.raises(IndexError):
+            tree.touch_files(np.array([1, 3, 1]), np.array([0, 4, 1]), 0)
+        assert tree.unvisited_files(1) == 3
+        assert tree.touch_file(1, 0, epoch=1) == NEVER_ACCESSED
+
+    def test_forgotten_slots_are_not_read_or_moved(self, tree):
+        tree.touch_file(1, 0, epoch=0)
+        tree.touch_file(1, 1, epoch=2)
+        tree.forget_access_before(1)
+        assert dict(tree.recently_accessed(1)) == {1: 1}
+        assert tree._access_base[1] == 1
+        # re-touching the epoch-0 file takes nothing back below the floor
+        tree.touch_file(1, 0, epoch=3)
+        assert dict(tree.recently_accessed(1)) == {1: 2}
+        tree.forget_access_before(4)
+        assert 1 not in tree._access_counts
 
 
 class TestExtent:

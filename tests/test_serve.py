@@ -320,8 +320,12 @@ class TestControlPlane:
 
     def test_metrics_scrape_roundtrip_under_concurrent_ticking(self):
         # satellite: live /metrics must stay parseable by the repo's own
-        # OpenMetrics parser while the simulation is mutating the registry
-        svc = SimulatorService(serve_cfg(perf_gauges=True), tick_slice=8)
+        # OpenMetrics parser while the simulation is mutating the registry.
+        # Unthrottled, this run ends in ~20 ms, which can be before the
+        # first scrape; at 400 ticks/s it lasts ~0.1 s, and the lock is
+        # free between slices.
+        svc = SimulatorService(serve_cfg(perf_gauges=True), tick_slice=8,
+                               rate=400.0)
         plane = ControlPlane(svc, port=0)
         plane.start()
         svc.start()
