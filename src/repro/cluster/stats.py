@@ -23,18 +23,47 @@ counters and heat. Every reader folds first — :meth:`AccessStats.end_epoch`,
 Folding a prefix of an epoch and then the rest gives the same state as
 one fold, and the same state the accesses applied one at a time would
 give, so a reader at any point mid-epoch sees exactly that state.
+
+Each closed cutting window is kept sparse (:class:`WindowEntry`): the
+dirs the epoch touched with their counts, and the dirs its ``l_s`` term
+names. The dense running sums ``win_*`` move only at those indices when
+an entry is appended or evicted, so rolling the window costs what the
+epoch saw, not the namespace size. Every other dir would add or subtract
+0.0, which leaves its sum unchanged: the sums are non-negative and
+integer-valued, hence exact. For the same reason a dir named by no entry
+(:meth:`AccessStats.window_dirs`) has all window sums exactly 0.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.namespace.tree import NEVER_ACCESSED, NamespaceTree
 from repro.util.rng import substream
 
-__all__ = ["AccessStats"]
+__all__ = ["AccessStats", "WindowEntry"]
+
+
+class WindowEntry(NamedTuple):
+    """One closed cutting window, sparse.
+
+    ``dirs`` holds the ascending ids of the dirs touched that epoch, and
+    ``visits``, ``recurrent``, ``first`` and ``created`` their counts, in
+    the same order. ``ls_dirs`` (ascending, every touched dir plus each
+    sibling that drew a bonus) and ``ls`` hold the epoch's ``l_s`` term:
+    a dir's first visits plus the sibling bonuses it received.
+    """
+
+    dirs: np.ndarray
+    visits: np.ndarray
+    recurrent: np.ndarray
+    first: np.ndarray
+    created: np.ndarray
+    ls_dirs: np.ndarray
+    ls: np.ndarray
 
 
 class AccessStats:
@@ -70,8 +99,9 @@ class AccessStats:
         self._recurrent: list[int] = [0] * n
         self._first: list[int] = [0] * n
         self._created: list[int] = [0] * n
-        # Rolling window of the last `pattern_windows` epochs, plus running sums.
-        self._win: deque[tuple[np.ndarray, ...]] = deque()
+        # Rolling window of the last `pattern_windows` epochs, plus running
+        # sums over every dir.
+        self._win: deque[WindowEntry] = deque()
         self.win_visits = np.zeros(n)
         self.win_recurrent = np.zeros(n)
         self.win_first = np.zeros(n)
@@ -80,8 +110,8 @@ class AccessStats:
         self._dir_last_access: list[int] = [NEVER_ACCESSED] * n
         # Sparse bookkeeping: dirs with any counter bump this epoch, and
         # dirs whose heat is nonzero (monotone — decay never reaches 0.0).
-        # Epoch-boundary aggregation fills zero arrays from these sets, so
-        # the cost scales with the touched population, not the namespace.
+        # The epoch roll and heat decay visit only these sets, so their
+        # cost scales with the touched population, not the namespace.
         self._touched_epoch: set[int] = set()
         self._heat_live: set[int] = set()
         # This epoch's accesses not yet folded: the dir and file of each
@@ -230,14 +260,17 @@ class AccessStats:
 
         The caller has already grown the tree via ``add_files``; indices
         ``first_idx .. first_idx+count-1`` are fresh, so every access is a
-        first visit and a created-in-window tally.
+        first visit and a created-in-window tally. An unknown directory or
+        a range outside ``0 .. n_files[dir_id]`` raises ``IndexError``
+        before anything is recorded.
         """
+        # the tree checks the dir and the range before it writes a stamp
+        self.tree.touch_file_range(dir_id, first_idx, count, self.epoch)
         if count <= 0:
             return
         if dir_id >= len(self.heat):
             self._grow()
         self._touched_epoch.add(dir_id)
-        self.tree.touch_file_range(dir_id, first_idx, count, self.epoch)
         self._bump_heat(dir_id, count)
         self._visits[dir_id] += count
         self._first[dir_id] += count
@@ -245,35 +278,35 @@ class AccessStats:
 
     # ------------------------------------------------------------- epoch roll
     def end_epoch(self) -> None:
-        """Close the current cutting window and roll the pattern stats."""
+        """Close the current cutting window and roll the pattern stats.
+
+        The window is appended as a sparse :class:`WindowEntry`, and the
+        running sums move only at the indices it names, as they do when
+        the oldest entry is evicted.
+        """
         self._fold()
-        n = self.tree.n_dirs
-        # Only touched dirs carry nonzero counters: fill zero arrays from
-        # the touched set instead of converting the full per-dir lists.
+        # Only touched dirs carry nonzero counters.
         touched = sorted(self._touched_epoch)
-        visits = np.zeros(n)
-        recurrent = np.zeros(n)
-        first = np.zeros(n)
-        created = np.zeros(n)
-        if touched:
-            idx = np.array(touched, dtype=np.intp)
-            visits[idx] = [self._visits[d] for d in touched]
-            recurrent[idx] = [self._recurrent[d] for d in touched]
-            first[idx] = [self._first[d] for d in touched]
-            created[idx] = [self._created[d] for d in touched]
+        visits = [self._visits[d] for d in touched]
+        recurrent = [self._recurrent[d] for d in touched]
+        first = [self._first[d] for d in touched]
+        created = [self._created[d] for d in touched]
         self.last_epoch_mix = {
-            "visits": int(visits.sum()),
-            "recurrent": int(recurrent.sum()),
-            "first": int(first.sum()),
-            "created": int(created.sum()),
+            "visits": sum(visits),
+            "recurrent": sum(recurrent),
+            "first": sum(first),
+            "created": sum(created),
         }
 
         # Spatial correlation: a directory whose files are being visited for
         # the first time predicts first visits on a sibling too (paper §3.3:
         # "select one of its sibling subtrees with a certain probability and
         # increment its l_s").
-        ls = first.copy()
-        active = np.nonzero(first)[0].tolist() if self.sibling_probability > 0.0 else []
+        # Seeded with every touched dir, so ``ls_dirs`` names each of them
+        # (``window_dirs`` relies on it).
+        ls = dict(zip(touched, map(float, first)))
+        active = ([(d, f) for d, f in zip(touched, first) if f]
+                  if self.sibling_probability > 0.0 else [])
         if active:
             stock = self.unvisited_array()
             has_stock = stock > 0
@@ -283,7 +316,7 @@ class AccessStats:
             parent_of = self.tree.parent
             children = self.tree.children
             rng = self._rng
-            for d in active:
+            for d, f in active:
                 if rng.random() >= self.sibling_probability:
                     continue
                 parent = parent_of[d]
@@ -306,21 +339,30 @@ class AccessStats:
                 # A sibling cannot receive more first visits than it has
                 # unvisited stock: cap the bonus so small directories are
                 # not predicted to carry a huge folder's load.
-                ls[pick] += min(first[d], stock[pick])
+                ls[pick] = ls.get(pick, 0.0) + min(float(f), float(stock[pick]))
 
-        self._win.append((visits, recurrent, first, ls, created))
-        self.win_visits += visits
-        self.win_recurrent += recurrent
-        self.win_first += first
-        self.win_ls += ls
-        self.win_created += created
+        ls_dirs = sorted(ls)
+        entry = WindowEntry(
+            np.array(touched, dtype=np.intp),
+            np.array(visits, dtype=np.float64),
+            np.array(recurrent, dtype=np.float64),
+            np.array(first, dtype=np.float64),
+            np.array(created, dtype=np.float64),
+            np.array(ls_dirs, dtype=np.intp),
+            np.array([ls[d] for d in ls_dirs], dtype=np.float64))
+        self._win.append(entry)
+        self.win_visits[entry.dirs] += entry.visits
+        self.win_recurrent[entry.dirs] += entry.recurrent
+        self.win_first[entry.dirs] += entry.first
+        self.win_created[entry.dirs] += entry.created
+        self.win_ls[entry.ls_dirs] += entry.ls
         if len(self._win) > self.pattern_windows:
             old = self._win.popleft()
-            # A grow() may have enlarged the running sums since `old` was
-            # recorded; subtract over the old prefix only.
-            for arr, name in zip(old, ("win_visits", "win_recurrent", "win_first",
-                                       "win_ls", "win_created")):
-                getattr(self, name)[: arr.size] -= arr
+            self.win_visits[old.dirs] -= old.visits
+            self.win_recurrent[old.dirs] -= old.recurrent
+            self.win_first[old.dirs] -= old.first
+            self.win_created[old.dirs] -= old.created
+            self.win_ls[old.ls_dirs] -= old.ls
 
         for d in touched:
             self._visits[d] = 0
@@ -366,12 +408,14 @@ class AccessStats:
             out[d] = heat[d]
         return out
 
-    def unvisited_array(self) -> np.ndarray:
+    def unvisited_array(self, dirs: np.ndarray | None = None) -> np.ndarray:
         """Files per directory NOT accessed within the recurrence window.
 
-        This is the sliding "unvisited stock" behind beta: a directory
-        scanned long ago regains unvisited stock as its inodes' boolean
-        queues drain, making it a spatial-locality candidate again.
+        Every directory's, or, entry ``i`` for ``dirs[i]``, those of
+        ``dirs`` only. This is the sliding "unvisited stock" behind beta:
+        a directory scanned long ago regains unvisited stock as its
+        inodes' boolean queues drain, making it a spatial-locality
+        candidate again.
         """
         self._fold()
         tree = self.tree
@@ -380,19 +424,41 @@ class AccessStats:
         # touched directories the tree's incremental epoch histograms give
         # the recently-accessed tally in O(window) per dir, instead of
         # rescanning every file's last-access stamp each epoch.
-        out = tree.n_files_array()
-        for d, recent in tree.recently_accessed(cutoff):
-            out[d] -= recent
+        out = tree.n_files_array(dirs)
+        recent = dict(tree.recently_accessed(cutoff))
+        # one vectorized subtraction; x - 0 leaves a count's bits alone
+        if dirs is None:
+            if recent:
+                out[list(recent)] -= list(recent.values())
+        else:
+            out -= [recent.get(d, 0) for d in dirs.tolist()]
         return out
 
-    def pattern_arrays(self) -> dict[str, np.ndarray]:
-        """Window sums for mIndex computation (copies, per-dir)."""
+    def window_dirs(self) -> np.ndarray:
+        """Ascending ids of the dirs any window entry names.
+
+        Every other dir has all window sums exactly 0, so its migration
+        index is 0.0.
+        """
+        if not self._win:
+            return np.empty(0, dtype=np.intp)
+        # ``ls_dirs`` holds every touched dir of its entry
+        named = np.sort(np.concatenate([w.ls_dirs for w in self._win]))
+        keep = np.ones(named.size, dtype=bool)
+        np.not_equal(named[1:], named[:-1], out=keep[1:])
+        return named[keep]
+
+    def pattern_arrays(self, dirs: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Window sums and unvisited stock for mIndex computation (copies).
+
+        Every directory's, or, entry ``i`` for ``dirs[i]``, those of
+        ``dirs`` only.
+        """
         self._fold()
-        return {
-            "visits": self.win_visits.copy(),
-            "recurrent": self.win_recurrent.copy(),
-            "first": self.win_first.copy(),
-            "ls": self.win_ls.copy(),
-            "created": self.win_created.copy(),
-            "unvisited": self.unvisited_array(),
-        }
+        sums = {"visits": self.win_visits, "recurrent": self.win_recurrent,
+                "first": self.win_first, "ls": self.win_ls,
+                "created": self.win_created}
+        out = {name: arr.copy() if dirs is None else arr[dirs]
+               for name, arr in sums.items()}
+        out["unvisited"] = self.unvisited_array(dirs)
+        return out

@@ -18,5 +18,12 @@ __all__ = ["mindex_per_dir"]
 
 
 def mindex_per_dir(stats: AccessStats) -> np.ndarray:
-    """The migration index of every directory's own files."""
-    return analyze(stats).mindex
+    """The migration index of every directory's own files.
+
+    Eq. 4 runs over the dirs a cutting-window entry names; every other
+    dir has ``l_t == l_s == 0``, so its index is exactly 0.0.
+    """
+    dirs = stats.window_dirs()
+    out = np.zeros(stats.tree.n_dirs)
+    out[dirs] = analyze(stats, dirs).mindex
+    return out

@@ -14,6 +14,12 @@ From the cutting-window counters maintained by
 
 The per-directory migration index is ``alpha * l_t + beta * l_s`` (Eq. 4);
 subtree-level aggregation lives in :mod:`repro.core.mindex`.
+
+:func:`analyze` is the only implementation of these formulas. Given
+``dirs`` it evaluates them on those directories only: every formula is
+elementwise, so each entry has the bits the every-directory call gives
+it. :func:`repro.core.mindex.mindex_per_dir` passes the dirs the cutting
+window names, so an epoch's Eq. 4 costs what the window saw.
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ class PatternSnapshot:
         return self.alpha * self.l_t + self.beta * self.l_s
 
 
-def analyze(stats: AccessStats) -> PatternSnapshot:
-    """Compute alpha/beta/l_t/l_s for every directory from window sums."""
-    arrays = stats.pattern_arrays()
+def analyze(stats: AccessStats, dirs: np.ndarray | None = None) -> PatternSnapshot:
+    """Compute alpha/beta/l_t/l_s from window sums, for every directory or,
+    entry ``i`` for ``dirs[i]``, for ``dirs`` only."""
+    arrays = stats.pattern_arrays(dirs)
     visits = arrays["visits"]
     denom = np.maximum(visits, 1.0)
 
@@ -59,5 +66,5 @@ def analyze(stats: AccessStats) -> PatternSnapshot:
     # to zero even if their visit window still remembers first visits.
     beta[spatial_stock <= 0.0] = 0.0
 
-    return PatternSnapshot(alpha=alpha, beta=beta, l_t=visits.copy(),
-                           l_s=arrays["ls"].copy())
+    # pattern_arrays hands out copies, so the snapshot owns its arrays
+    return PatternSnapshot(alpha=alpha, beta=beta, l_t=visits, l_s=arrays["ls"])

@@ -234,8 +234,11 @@ class NamespaceTree:
 
         Equivalent to ``count`` :meth:`touch_file` calls on freshly created
         indices (all previous epochs are ``NEVER_ACCESSED``); used by the
-        columnar engine's turbo tick for create runs.
+        columnar engine's turbo tick for create runs. Raises ``IndexError``
+        before touching anything if ``dir_id`` is unknown or the range
+        leaves ``0 .. n_files[dir_id]``.
         """
+        self._check_dir(dir_id)
         if count <= 0:
             return
         if start < 0 or start + count > self.n_files[dir_id]:
@@ -245,9 +248,11 @@ class NamespaceTree:
         self._unvisited[dir_id] -= count
         self._bump_epoch_count(dir_id, epoch, count)
 
-    def n_files_array(self) -> np.ndarray:
-        """Fresh float64 array of per-directory file counts (a copy)."""
-        return self._n_files_arr[: len(self.n_files)].copy()
+    def n_files_array(self, dirs: np.ndarray | None = None) -> np.ndarray:
+        """Fresh float64 array of per-directory file counts (a copy), of
+        every directory or, entry ``i`` for ``dirs[i]``, of ``dirs`` only."""
+        counts = self._n_files_arr[: len(self.n_files)]
+        return counts.copy() if dirs is None else counts[dirs]
 
     def unvisited_files(self, dir_id: int) -> int:
         """Number of files in ``dir_id`` that have never been accessed."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.stats import AccessStats
+from repro.namespace.builder import build_private_dirs
 from repro.namespace.tree import NEVER_ACCESSED, NamespaceTree
 
 
@@ -169,6 +170,35 @@ class TestOpTimeChecks:
             stats.record_file_access(dir_id, 0)
         with pytest.raises(IndexError):
             stats.record_dir_access(dir_id)
+
+    # A create run naming an unknown dir or files past the end raises
+    # before it writes anything (a negative dir id used to reach the last
+    # dir).
+    @pytest.mark.parametrize("dir_id, first_idx, count",
+                             [(-1, 0, 5), (5, 0, 1), (4, 8, 3), (4, -1, 2)])
+    def test_create_batch_raises_before_writing(self, dir_id, first_idx, count):
+        tree = build_private_dirs(3, 10).tree
+        stats = AccessStats(tree, heat_decay=0.5, sibling_probability=0.0)
+        with pytest.raises(IndexError):
+            stats.record_create_batch(dir_id, first_idx, count)
+        assert not stats.heat_array().any()
+        assert np.array_equal(stats.unvisited_array(), tree.n_files_array())
+        assert tree._file_last_access == {} and tree._access_counts == {}
+        stats.end_epoch()
+        assert not stats._win[0].dirs.size
+        arrays = stats.pattern_arrays()
+        for name in ("visits", "recurrent", "first", "ls", "created"):
+            assert not arrays[name].any(), name
+
+    def test_misused_create_batch_leaves_heat_alone(self):
+        tree = build_private_dirs(3, 10).tree
+        stats = AccessStats(tree, heat_decay=0.5, sibling_probability=0.0)
+        with pytest.raises(IndexError):
+            stats.record_create_batch(-1, 0, 5)
+        stats.record_file_access(4, 0)
+        stats.end_epoch()
+        stats.end_epoch()
+        assert stats.heat_array()[4] == 0.25
 
 
 class TestHistogramFloor:

@@ -1,10 +1,13 @@
 """Pattern Analyzer: alpha/beta/l_t/l_s under canonical access patterns."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.stats import AccessStats
+from repro.core.mindex import mindex_per_dir
 from repro.core.pattern import analyze
 from repro.namespace.builder import build_fanout, build_private_dirs
+from repro.namespace.tree import NamespaceTree
 
 
 def scan_dir(stats, d, n):
@@ -108,3 +111,68 @@ class TestColdDirs:
         for d in b.dirs:
             assert p.mindex[d] == 0.0
             assert p.beta[d] == 1.0  # full unvisited stock, but no l_s
+
+
+def epochs_beside_cold(n_cold, n_epochs=12):
+    """The same accesses to eight hot dirs beside ``n_cold`` cold ones.
+
+    The cold dirs hang under their own parent, as in ``MegaTreeWorkload``,
+    so the hot dirs' sibling pools do not depend on ``n_cold``. Yields
+    ``(stats, hot_dirs)`` after each epoch.
+    """
+    tree = NamespaceTree()
+    hot_root = tree.add_dir(0, "hot")
+    hot = [tree.add_dir(hot_root, f"h{i}") for i in range(8)]
+    for i, d in enumerate(hot):
+        tree.add_files(d, 4 + 3 * i)
+    cold_root = tree.add_dir(0, "cold")
+    for i in range(n_cold // 1000):
+        parent = tree.add_dir(cold_root, f"c{i}")
+        for j in range(1000):
+            tree.add_dir(parent, f"d{j}")
+    stats = AccessStats(tree, sibling_probability=0.5, seed=3)
+    rng = np.random.default_rng(5)
+    for _ in range(n_epochs):
+        for _ in range(rng.integers(0, 30)):
+            d = hot[rng.integers(len(hot))]
+            stats.record_file_access(d, int(rng.integers(tree.n_files[d])))
+        if rng.random() < 0.5:
+            d = hot[rng.integers(len(hot))]
+            stats.record_create_batch(d, tree.add_files(d, 3), 3)
+        if rng.random() < 0.3:
+            stats.record_dir_access(hot_root)
+        stats.end_epoch()
+        yield stats, hot
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestColdNamespace:
+    """The epoch roll and Eq. 4 work on what the window saw."""
+
+    def test_window_entries_do_not_depend_on_cold_dirs(self):
+        for (small, _), (big, _) in zip(epochs_beside_cold(1_000),
+                                        epochs_beside_cold(100_000)):
+            assert len(small._win) == len(big._win)
+            for a, b in zip(small._win, big._win):
+                assert len(a) == len(b)
+                assert all(_same_bits(x, y) for x, y in zip(a, b))
+            assert _same_bits(small.window_dirs(), big.window_dirs())
+
+    def test_analyze_on_dirs_is_the_full_analysis_restricted(self):
+        seen_bonus = False
+        for stats, hot in epochs_beside_cold(1_000):
+            full = analyze(stats)
+            window = stats.window_dirs()
+            seen_bonus |= any(w.ls_dirs.size > w.dirs.size for w in stats._win)
+            cold = stats.tree.n_dirs - 1
+            # unsorted, repeated, and with dirs no window names
+            for dirs in (window, np.array([cold, *window[::-1], 0, hot[0], 0])):
+                part = analyze(stats, dirs)
+                for name in ("alpha", "beta", "l_t", "l_s"):
+                    assert _same_bits(getattr(part, name),
+                                      getattr(full, name)[dirs]), name
+            assert _same_bits(mindex_per_dir(stats), full.mindex)
+        assert seen_bonus  # some sibling bonus landed outside the touched set

@@ -118,6 +118,16 @@ class TestTouch:
         assert tree.unvisited_files(1) == 3
         assert tree.touch_file(1, 0, epoch=1) == NEVER_ACCESSED
 
+    @pytest.mark.parametrize("dir_id, start, count",
+                             [(-1, 0, 5), (5, 0, 1), (4, 3, 3), (4, -1, 2)])
+    def test_file_range_checks_before_writing(self, tree, dir_id, start, count):
+        tree.add_files(4, 5)  # the last dir, which id -1 used to reach
+        with pytest.raises(IndexError):
+            tree.touch_file_range(dir_id, start, count, epoch=0)
+        assert tree._file_last_access == {} and tree._access_counts == {}
+        assert [tree.unvisited_files(d) for d in range(tree.n_dirs)] == \
+            [0, 3, 2, 4, 5]
+
     def test_forgotten_slots_are_not_read_or_moved(self, tree):
         tree.touch_file(1, 0, epoch=0)
         tree.touch_file(1, 1, epoch=2)

@@ -2,8 +2,10 @@
 
 The migration index is only as good as these counters; the properties
 below pin down the window algebra regardless of access pattern, and
-``TestFoldMatchesPerOp`` checks the epoch fold bit for bit against the
-per-op updates it replaced (``PerOpStats``, the oracle).
+``TestFoldMatchesPerOp`` checks the epoch fold, the sparse window
+entries and the sparse mIndex bit for bit against the per-op updates,
+dense windows and dense Eq. 4 they replaced (``PerOpStats`` and
+``dense_mindex``, the oracles).
 """
 
 from collections import deque
@@ -12,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.stats import AccessStats
+from repro.core.mindex import mindex_per_dir
 from repro.namespace.builder import build_fanout
 from repro.namespace.tree import NEVER_ACCESSED, NamespaceTree
 from repro.util.rng import substream
@@ -110,8 +113,9 @@ class TestHeatAlgebra:
 # ------------------------------------------------------- the per-op oracle
 class PerOpStats:
     """AccessStats as it was before the epoch fold: every access updates
-    stamps, counters and heat at once, and the sibling pool is a list
-    comprehension per active dir.
+    stamps, counters and heat at once, the sibling pool is a list
+    comprehension per active dir, and each closed window is a tuple of
+    dense per-dir arrays.
 
     It shares the tree's structure (dirs, children, file counts) with the
     stats under test but keeps its own per-file stamps, so no access
@@ -308,15 +312,49 @@ class PerOpStats:
                 "unvisited": self.unvisited_array()}
 
 
+def dense_mindex(oracle):
+    """Paper Eq. 4 over every dir, from the oracle's dense running sums:
+    the every-dir body ``analyze`` had before it took a dir subset."""
+    arrays = oracle.pattern_arrays()
+    visits = arrays["visits"]
+    denom = np.maximum(visits, 1.0)
+    alpha = arrays["recurrent"] / denom
+    spatial_stock = arrays["unvisited"] + arrays["created"]
+    beta = np.minimum(1.0, spatial_stock / denom)
+    beta[spatial_stock <= 0.0] = 0.0
+    return alpha * visits + beta * arrays["ls"]
+
+
 def _hexes(values):
     return [float(v).hex() for v in values]
 
 
-READERS = ("heat_array", "live_heat", "unvisited_array", "pattern_arrays")
+def _dense_entry(entry, n):
+    """A sparse window entry scattered into the oracle's dense tuple."""
+    visits, recurrent, first, ls, created = (np.zeros(n) for _ in range(5))
+    visits[entry.dirs] = entry.visits
+    recurrent[entry.dirs] = entry.recurrent
+    first[entry.dirs] = entry.first
+    created[entry.dirs] = entry.created
+    ls[entry.ls_dirs] = entry.ls
+    return visits, recurrent, first, ls, created
+
+
+#: ``mindex`` is read through ``mindex_per_dir`` and ``dense_mindex``
+READERS = ("heat_array", "live_heat", "unvisited_array", "pattern_arrays",
+           "mindex")
+
+
+def _read(name, stats, oracle):
+    if name == "mindex":
+        return mindex_per_dir(stats), dense_mindex(oracle)
+    return getattr(stats, name)(), getattr(oracle, name)()
 
 
 def _same_reading(name, got, want):
-    if name == "heat_array":
+    if name == "mindex":
+        assert got.tobytes() == want.tobytes()
+    elif name == "heat_array":
         assert _hexes(got) == _hexes(want)
     elif name == "live_heat":
         assert _hexes(got[0]) == _hexes(want[0]) and got[1] == want[1]
@@ -340,7 +378,9 @@ def _assert_same_state(stats, oracle):
         assert np.array_equal(getattr(stats, name), getattr(oracle, name)), name
     assert len(stats._win) == len(oracle._win)
     for got, want in zip(stats._win, oracle._win):
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # the dense entry was as long as the namespace when it was closed
+        dense = _dense_entry(got, want[0].size)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(dense, want))
     assert stats.last_epoch_mix == oracle.last_epoch_mix
     assert tree._unvisited == oracle.unvisited_counts()
     cutoff = stats.epoch - stats.recurrence_window
@@ -376,7 +416,9 @@ def fold_scenarios(draw):
 
 
 class TestFoldMatchesPerOp:
-    """The epoch fold leaves exactly the state the per-op updates left."""
+    """The epoch fold leaves exactly the state the per-op updates left,
+    each sparse window entry scatters to the oracle's dense one, and the
+    sparse mIndex has the bits of dense Eq. 4 over every dir."""
 
     @given(fold_scenarios())
     @settings(max_examples=200, deadline=None)
@@ -417,10 +459,9 @@ class TestFoldMatchesPerOp:
                 else:
                     # a reader mid-epoch folds what is logged so far
                     name = READERS[b % len(READERS)]
-                    _same_reading(name, getattr(stats, name)(),
-                                  getattr(oracle, name)())
+                    _same_reading(name, *_read(name, stats, oracle))
             stats.end_epoch()
             oracle.end_epoch()
             _assert_same_state(stats, oracle)
             for name in READERS:
-                _same_reading(name, getattr(stats, name)(), getattr(oracle, name)())
+                _same_reading(name, *_read(name, stats, oracle))
