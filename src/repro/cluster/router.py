@@ -60,11 +60,11 @@ class Router:
     def check_lease(self, state: ClientRoutingState, now: int) -> None:
         """Expire the client's dentry leases if their TTL lapsed.
 
-        Called by :meth:`route` on every request, and by the columnar
-        engine once per client per tick before it bypasses ``route`` for
-        cache-clean ops. Idempotent within a tick: after the first call
-        the expiry is re-armed at ``now + lease_ttl > now``, so repeated
-        calls (and the per-request calls inside ``route``) are no-ops.
+        The serve engine calls it once per active client at the start of
+        each tick, before that client's first :meth:`route`; a lease can
+        lapse only between ticks. Idempotent within a tick: after the
+        first call the expiry is re-armed at ``now + lease_ttl > now``, so
+        repeated calls are no-ops.
         """
         if self.lease_ttl <= 0:
             return
@@ -77,16 +77,16 @@ class Router:
             if self._c_lease_expiries is not None:
                 self._c_lease_expiries.inc()
 
-    def route(self, state: ClientRoutingState, dir_id: int, file_idx: int = -1,
-              now: int = 0) -> tuple[int, list[int]]:
-        """Resolve the serving MDS for an op at tick ``now``.
+    def route(self, state: ClientRoutingState, dir_id: int,
+              file_idx: int = -1) -> tuple[int, list[int]]:
+        """Resolve the serving MDS for an op.
 
         Returns ``(auth_mds, forward_hops)``; ``forward_hops`` lists the MDS
-        ranks that relayed the request (empty on a fresh cache hit).
+        ranks that relayed the request (empty on a fresh cache hit). Lease
+        expiry is not checked here: see :meth:`check_lease`.
         """
         authmap = self.authmap
         tree = authmap.tree
-        self.check_lease(state, now)
         cache = state.auth_cache
 
         hops: list[int] = []
@@ -117,11 +117,11 @@ class Router:
             cache[dir_id] = true_auth
 
         serving = true_auth
-        frag = authmap.frag_owners(dir_id) if file_idx >= 0 else None
+        frag = authmap.frag_state(dir_id) if file_idx >= 0 else None
         if frag is not None:
             bits, owners = frag
             frag_no = file_idx & ((1 << bits) - 1)
-            frag_auth = owners.get(frag_no, true_auth)
+            frag_auth = owners[frag_no]
             key = (dir_id, frag_no)
             cached_frag = cache.get(key)
             if cached_frag is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.namespace.dirfrag import FragId
 from repro.obs.events import NO_DECISION, DecisionIds
-from repro.namespace.subtree import AuthorityMap
+from repro.namespace.subtree import AuthorityMap, FragState
 from repro.namespace.tree import NamespaceTree
 
 __all__ = [
@@ -80,18 +80,19 @@ class PlanningNamespace(AuthorityMap):
 
     Read methods (``subtree_roots``, ``frag_state``, ``extent``, ...) are
     inherited unchanged from :class:`AuthorityMap` and operate on detached
-    copies, so planning never touches live cluster state. The two mutators
-    a policy may use — :meth:`split_dir` and :meth:`set_subtree_auth` —
-    update the overlay *and* append the matching action to the owning
+    copies (sharing only the owner tuples, which a split replaces), so
+    planning never touches live cluster state. The two mutators a policy
+    may use — :meth:`split_dir` and :meth:`set_subtree_auth` — update the
+    overlay *and* append the matching action to the owning
     :class:`EpochPlan`, preserving exact mutation order for replay.
     """
 
     def __init__(self, tree: NamespaceTree, subtree_auth: dict[int, int],
-                 frags: dict[int, tuple[int, dict[int, int]]],
+                 frags: dict[int, FragState],
                  plan: EpochPlan) -> None:
         super().__init__(tree)
         self._subtree_auth = dict(subtree_auth)
-        self._frags = {d: (bits, dict(owners)) for d, (bits, owners) in frags.items()}
+        self._frags = dict(frags)
         self._plan = plan
 
     def split_dir(self, dir_id: int, bits: int) -> list[FragId]:
@@ -114,7 +115,7 @@ class EpochPlan:
 
     def __init__(self, *, epoch: int, tree: NamespaceTree,
                  subtree_auth: dict[int, int],
-                 frags: dict[int, tuple[int, dict[int, int]]],
+                 frags: dict[int, FragState],
                  queue_depths: dict[int, int] | None = None,
                  decision_ids: DecisionIds | None = None) -> None:
         self.epoch = epoch

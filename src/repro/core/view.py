@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.namespace.subtree import AuthorityMap
+from repro.namespace.subtree import AuthorityMap, FragState
 from repro.obs.events import NO_DECISION, DecisionIds
 
 if TYPE_CHECKING:
@@ -63,8 +63,10 @@ class ClusterView:
     tree: object
     #: subtree-root -> rank snapshot (detached copy, insertion-ordered)
     subtree_auth: dict[int, int]
-    #: dir -> (bits, {frag_no: rank}) snapshot for fragmented directories
-    frags: dict[int, tuple[int, dict[int, int]]]
+    #: dir -> (bits, owners) for fragmented directories, ``owners[f]`` the
+    #: rank of frag ``f`` (a detached dict; the owner tuples are shared with
+    #: the live map, which replaces them on change and never edits them)
+    frags: dict[int, FragState]
     #: decayed per-directory popularity (heat) at the epoch boundary
     heat: np.ndarray
     #: access-stats handle for lazily derived arrays (mindex); read-only by

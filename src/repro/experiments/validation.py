@@ -64,7 +64,7 @@ def validate(sim, result: SimResult) -> ValidationReport:
         rep.expect(0 <= auth < sim.n_mds,
                    f"subtree {root} pinned to invalid rank {auth}")
     for d, (_, owners) in sim.authmap.snapshot_state()[1].items():
-        for frag_no, owner in owners.items():
+        for frag_no, owner in enumerate(owners):
             rep.expect(0 <= owner < sim.n_mds,
                        f"fragment {frag_no} of dir {d} owned by invalid "
                        f"rank {owner}")

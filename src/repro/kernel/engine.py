@@ -1,7 +1,9 @@
 """The serve loop: one per-op reference path plus the columnar turbo tick.
 
 :class:`ScalarEngine` is the reference. Each tick it scans the active
-clients and drains them round-robin, at most ``serve_quantum`` ops per
+clients, expires the dentry leases of each one whose TTL lapsed
+(:meth:`~repro.cluster.router.Router.check_lease`, once per active client
+per tick), and drains them round-robin, at most ``serve_quantum`` ops per
 client per round, one op at a time through
 :meth:`ScalarEngine._serve_op`: route, capacity check, forward charges,
 serve, log the access, advance. Round-robin interleaving is the only
@@ -24,9 +26,10 @@ whole tick collapses to integer arithmetic:
 
 - authority is resolved once per client per tick through
   :meth:`~repro.namespace.subtree.AuthorityMap.resolve_dir`, and
-  fragment owners come from the per-directory cycles of the
-  :class:`~repro.kernel.authtable.AuthTable` (rebuilt only on
-  authority-map version bumps), instead of one resolution per op;
+  fragment owners come from the map's own owners tuples, which the
+  :class:`~repro.kernel.authtable.AuthTable` holds with their run-length
+  segments (rebuilt only for a tuple the map has replaced), instead of
+  one resolution per op;
 - client cuts come from the pre-scanned stall queue
   (:meth:`~repro.workloads.base.Client.stall_scan`);
 - round-robin capacity contention is emulated over per-directory
@@ -98,11 +101,21 @@ class ScalarEngine:
         return self._wait
 
     def _active(self, now: int) -> list[Client]:
+        """The tick's active clients, their lapsed leases expired.
+
+        Exact: each active client's first act of the tick is a ``route``,
+        and ``check_lease`` touches only that client's cache.
+        """
         data_busy = self.data_busy
-        return [
+        active = [
             c for c in self.clients
             if c.done_at is None and c.ready_at <= now and c.cid not in data_busy
         ]
+        router = self.router
+        if router.lease_ttl > 0:
+            for c in active:
+                router.check_lease(c.routing, now)
+        return active
 
     def _serve_rounds(self, active: list[Client], now: int) -> None:
         """Drain ``active`` round-robin, ``serve_quantum`` ops per turn."""
@@ -137,7 +150,7 @@ class ScalarEngine:
         tree = self.tree
         kind, d, idx, nb = c.current  # type: ignore[misc]
         ridx = tree.n_files[d] if kind == OP_CREATE else idx
-        serving, hops = self.router.route(c.routing, d, ridx, now)
+        serving, hops = self.router.route(c.routing, d, ridx)
         mdss = self.mdss
         mds = mdss[serving]
         if mds.remaining < 1.0:
@@ -195,14 +208,9 @@ class ColumnarEngine(ScalarEngine):
         active = self._active(now)
         if not active:
             return 0
+        # _active() has expired lapsed leases, so the turbo tick may skip
+        # route() for warm clients
         self.table.refresh()
-        router = self.router
-        if router.lease_ttl > 0:
-            # route() expires leases inside every active client's first
-            # request of the tick; hoisting the (idempotent) check here
-            # lets the turbo tick skip route() for warm clients.
-            for c in active:
-                router.check_lease(c.routing, now)
         self._wait = 0
         if not self._turbo_tick(active, now):
             self._serve_rounds(active, now)
@@ -216,11 +224,12 @@ class ColumnarEngine(ScalarEngine):
         stream (:class:`~repro.workloads.base.RepeatOps`) into its own
         directory, with no data path in play. Warm-cache clients — dir
         cache current, every touched fragment key cached at its live
-        owner — have a proven no-op ``route`` for every op of the tick,
-        so their only cross-client coupling is MDS capacity: their turns
-        are emulated in exact round-robin order against the live credit
-        columns, and every per-client side effect is applied once, in a
-        single batched step after the race. Clients whose cache is cold
+        owner, read from the map's owners tuple — have a proven no-op
+        ``route`` for every op of the tick, so their only cross-client
+        coupling is MDS capacity: their turns are emulated in exact
+        round-robin order against the live credit columns, and every
+        per-client side effect is applied once, in a single batched step
+        after the race. Clients whose cache is cold
         or stale (the first post-migration tick) take their turns through
         the reference path in the same round-robin sequence — credits
         stay live precisely so both kinds of turn observe each other.

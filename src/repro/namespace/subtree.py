@@ -12,6 +12,11 @@ memoizes ``dir -> (auth, root)``. Resolution reads only the subtree
 roots, so only the mutators that change the root set or a root's rank
 clear the memo; fragment changes leave it warm. :attr:`AuthorityMap.version`
 still moves on every change, for readers keyed on fragment state too.
+
+A fragmented directory's owners are one tuple, ``owners[f]`` the rank of
+fragment ``f``, read through :meth:`AuthorityMap.frag_state`. Changes
+replace the tuple and never edit it, so every layer reads the live one
+without a copy, snapshots share it, and a change shows as a new object.
 """
 
 from __future__ import annotations
@@ -19,7 +24,11 @@ from __future__ import annotations
 from repro.namespace.dirfrag import FragId, frag_of
 from repro.namespace.tree import NamespaceTree
 
-__all__ = ["AuthorityMap"]
+__all__ = ["AuthorityMap", "FragState"]
+
+#: ``(bits, owners)`` of a fragmented directory: ``owners[f]`` is the rank
+#: of fragment ``f``, and ``len(owners) == 2**bits``
+FragState = tuple[int, tuple[int, ...]]
 
 
 class AuthorityMap:
@@ -28,8 +37,8 @@ class AuthorityMap:
     def __init__(self, tree: NamespaceTree, initial_mds: int = 0) -> None:
         self.tree = tree
         self._subtree_auth: dict[int, int] = {0: initial_mds}
-        # dir_id -> (bits, {frag_no: mds}) for fragmented directories.
-        self._frags: dict[int, tuple[int, dict[int, int]]] = {}
+        #: fragmented dir -> its FragState; replaced on change, never edited
+        self._frags: dict[int, FragState] = {}
         #: bumped by every mutator, fragment changes included
         self.version = 0
         #: dir -> (auth, root); cleared only when the roots change
@@ -69,9 +78,7 @@ class AuthorityMap:
         frag = self._frags.get(dir_id)
         if frag is not None and file_idx >= 0:
             bits, owners = frag
-            mds = owners.get(frag_of(file_idx, bits))
-            if mds is not None:
-                return mds
+            return owners[frag_of(file_idx, bits)]
         return self.resolve_dir(dir_id)[0]
 
     # ------------------------------------------------------------ partitioning
@@ -79,42 +86,33 @@ class AuthorityMap:
         """Copy of the subtree-root -> MDS mapping."""
         return dict(self._subtree_auth)
 
-    def snapshot_state(self) -> tuple[dict[int, int], dict[int, tuple[int, dict[int, int]]]]:
+    def snapshot_state(self) -> tuple[dict[int, int], dict[int, FragState]]:
         """Detached copies of ``(subtree_auth, frag_map)``.
 
         Insertion order is preserved, so iteration over a snapshot matches
         iteration over the live map — policies planning from a snapshot see
-        candidates in the same order they would see them live.
+        candidates in the same order they would see them live. The owner
+        tuples are shared: a later change replaces them in the live map.
         """
-        frags = {d: (bits, dict(owners)) for d, (bits, owners) in self._frags.items()}
-        return dict(self._subtree_auth), frags
+        return dict(self._subtree_auth), dict(self._frags)
 
     @classmethod
     def from_state(cls, tree: NamespaceTree, subtree_auth: dict[int, int],
-                   frags: dict[int, tuple[int, dict[int, int]]]) -> AuthorityMap:
+                   frags: dict[int, FragState]) -> AuthorityMap:
         """Rebuild an authority map from a :meth:`snapshot_state` snapshot."""
         ns = cls(tree)
         ns._subtree_auth = dict(subtree_auth)
-        ns._frags = {d: (bits, dict(owners)) for d, (bits, owners) in frags.items()}
+        ns._frags = dict(frags)
         return ns
 
     def is_subtree_root(self, dir_id: int) -> bool:
         return dir_id in self._subtree_auth
 
-    def frag_state(self, dir_id: int) -> tuple[int, dict[int, int]] | None:
-        """``(bits, {frag_no: mds})`` if the directory is fragmented."""
-        state = self._frags.get(dir_id)
-        if state is None:
-            return None
-        return state[0], dict(state[1])
+    def frag_state(self, dir_id: int) -> FragState | None:
+        """``(bits, owners)`` if the directory is fragmented, else None.
 
-    def frag_owners(self, dir_id: int) -> tuple[int, dict[int, int]] | None:
-        """Live ``(bits, {frag_no: mds})`` of a fragmented directory.
-
-        Unlike :meth:`frag_state` this returns the *live* owner mapping
-        without copying — it sits on the router's per-request hot path.
-        Callers must treat the mapping as read-only; ownership changes go
-        through :meth:`set_frag_auth` so the version counter stays honest.
+        The live, immutable state, not a copy: the router reads it on every
+        file request.
         """
         return self._frags.get(dir_id)
 
@@ -180,8 +178,7 @@ class AuthorityMap:
         for d in sorted(self._frags):
             if d in exclude:
                 continue
-            bits, owners = self._frags[d]
-            owner_set = set(owners.values())
+            owner_set = set(self._frags[d][1])
             if len(owner_set) == 1 and owner_set.pop() == self.resolve_dir(d)[0]:
                 del self._frags[d]
                 merged += 1
@@ -197,18 +194,16 @@ class AuthorityMap:
         """
         if bits <= 0:
             raise ValueError("split needs at least 1 bit")
-        base_auth = self.resolve_dir(dir_id)[0]
         prev = self._frags.get(dir_id)
-        owners: dict[int, int] = {}
-        for frag_no in range(1 << bits):
-            if prev is not None:
-                pbits, powners = prev
-                owners[frag_no] = powners.get(frag_no & ((1 << pbits) - 1), base_auth)
-            else:
-                owners[frag_no] = base_auth
+        if prev is None:
+            owners = (self.resolve_dir(dir_id)[0],) * (1 << bits)
+        else:
+            pbits, powners = prev
+            pmask = (1 << pbits) - 1
+            owners = tuple(powners[f & pmask] for f in range(1 << bits))
         self._frags[dir_id] = (bits, owners)
         self.version += 1
-        return [FragId(dir_id, bits, f) for f in sorted(owners)]
+        return [FragId(dir_id, bits, f) for f in range(1 << bits)]
 
     def set_frag_auth(self, frag: FragId, mds: int) -> None:
         """Delegate one fragment of a split directory to ``mds``."""
@@ -217,7 +212,9 @@ class AuthorityMap:
         state = self._frags.get(frag.dir_id)
         if state is None or state[0] != frag.bits:
             raise ValueError(f"directory {frag.dir_id} is not split into {frag.bits} bits")
-        state[1][frag.frag_no] = mds
+        owners = list(state[1])
+        owners[frag.frag_no] = mds
+        self._frags[frag.dir_id] = (frag.bits, tuple(owners))
         self.version += 1
 
     # ----------------------------------------------------------------- extents
@@ -231,15 +228,6 @@ class AuthorityMap:
     def subtrees_of(self, mds: int) -> list[int]:
         """Subtree roots currently authoritative on ``mds``."""
         return sorted(d for d, m in self._subtree_auth.items() if m == mds)
-
-    def frags_of(self, mds: int) -> list[FragId]:
-        """Fragments explicitly owned by ``mds``."""
-        out: list[FragId] = []
-        for dir_id, (bits, owners) in self._frags.items():
-            for frag_no, owner in owners.items():
-                if owner == mds:
-                    out.append(FragId(dir_id, bits, frag_no))
-        return sorted(out)
 
     def inode_distribution(self, n_mds: int) -> list[int]:
         """Inodes (dirs + files) authoritative on each MDS rank.
@@ -260,6 +248,6 @@ class AuthorityMap:
                     n = self.tree.n_files[d]
                     width = 1 << bits
                     full, rem = divmod(n, width)
-                    for frag_no, owner in owners.items():
+                    for frag_no, owner in enumerate(owners):
                         counts[owner] += full + (1 if frag_no < rem else 0)
         return counts

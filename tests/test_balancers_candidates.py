@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.balancers.candidates import Candidate, candidates_for, scale_to_load
 from repro.balancers.mantle import greedyspill_policy, lunule_selection_policy
@@ -45,17 +45,25 @@ def dense_candidates_for(ns, mds: int, per_dir_load) -> list[Candidate]:
         bits, owners = ns.frag_state(d)
         n_files = tree.n_files[d]
         per_file = float(per_dir_load[d]) / n_files if n_files else 0.0
-        for fno, owner in sorted(owners.items()):
+        for fno, owner in enumerate(owners):
             f_files = frag_file_count(n_files, bits, fno)
             if owner == mds and f_files:
                 out.append(Candidate(FragId(d, bits, fno), d, per_file * f_files,
                                      per_file * f_files, f_files))
 
+    # every fragment ``mds`` owns, as sorted FragIds: (dir, bits, frag_no)
+    owned: list[FragId] = []
+    for d in ns.fragmented_dirs():
+        bits, owners = ns.frag_state(d)
+        owned.extend(FragId(d, bits, fno) for fno, owner in enumerate(owners)
+                     if owner == mds)
+    owned.sort()
+
     extents = [tree.subtree_extent(root, all_roots - {root})
                for root in ns.subtrees_of(mds)]
     own = {d for extent in extents for d in extent}
     foreign: set[int] = set()
-    for frag in ns.frags_of(mds):
+    for frag in owned:
         if frag.dir_id not in own and frag.dir_id not in foreign:
             foreign.add(frag.dir_id)
             emit_frags(frag.dir_id)
@@ -217,11 +225,31 @@ def authority_namespaces(draw):
     return ns, n_mds, loads
 
 
+def foreign_frags_out_of_set_order():
+    """Rank 1 owns frag 0 of dirs 9 and 3, both governed by rank 0, with
+    equal per-file loads. Dir 9 is split first, and a set of the two ids
+    iterates 9 before 3, so only an ascending walk emits the two equal-load
+    frags in the oracle's order."""
+    tree = NamespaceTree()
+    for i in range(1, 10):
+        tree.add_dir(0, f"d{i}")
+    ns = AuthorityMap(tree, 0)
+    loads = np.zeros(tree.n_dirs)
+    for d in (9, 3):
+        tree.add_files(d, 4)
+        loads[d] = 2.0
+        ns.split_dir(d, 1)
+        ns.set_frag_auth(FragId(d, 1, 0), 1)
+    assert list(ns.fragmented_dirs()) == [9, 3]
+    return ns, 2, loads
+
+
 class TestSkeletonMatchesOracle:
     """The load-skeleton walk agrees with the full-extent oracle."""
 
     @given(authority_namespaces(),
            st.one_of(st.just(0.0), st.floats(1e-3, 1e4)))
+    @example(foreign_frags_out_of_set_order(), 10.0)
     @settings(max_examples=200, deadline=None)
     def test_generated_namespaces(self, case, measured):
         ns, n_mds, loads = case

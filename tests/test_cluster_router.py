@@ -98,32 +98,39 @@ class TestFragRouting:
         assert router.route(state, 3, -1)[0] == 0
 
 
+def route_at(r, state, dir_id, file_idx, now):
+    """Route as the serve engine does a client's first op of tick ``now``:
+    expire its lapsed leases, then route."""
+    r.check_lease(state, now)
+    return r.route(state, dir_id, file_idx)
+
+
 class TestLeaseExpiry:
     def test_expiry_recharges_resolution(self, authmap, state):
         authmap.set_subtree_auth(2, 1)
         r = Router(authmap, lease_ttl=10)
-        _, hops = r.route(state, 3, 0, now=0)
+        _, hops = route_at(r, state, 3, 0, now=0)
         assert hops == [0]
-        _, hops = r.route(state, 3, 1, now=5)
+        _, hops = route_at(r, state, 3, 1, now=5)
         assert hops == []  # lease still valid
-        _, hops = r.route(state, 3, 2, now=10)
+        _, hops = route_at(r, state, 3, 2, now=10)
         assert hops == [0]  # lease expired: path re-resolved
 
     def test_zero_ttl_never_expires(self, authmap, state):
         authmap.set_subtree_auth(2, 1)
         r = Router(authmap, lease_ttl=0)
-        r.route(state, 3, 0, now=0)
-        _, hops = r.route(state, 3, 1, now=10_000)
+        route_at(r, state, 3, 0, now=0)
+        _, hops = route_at(r, state, 3, 1, now=10_000)
         assert hops == []
 
     def test_expiry_is_per_client(self, authmap):
         authmap.set_subtree_auth(2, 1)
         r = Router(authmap, lease_ttl=10)
         s1, s2 = ClientRoutingState(), ClientRoutingState()
-        r.route(s1, 3, 0, now=0)
-        r.route(s2, 3, 0, now=8)
-        _, hops1 = r.route(s1, 3, 1, now=12)  # s1's lease expired
-        _, hops2 = r.route(s2, 3, 1, now=12)  # s2's lease still valid
+        route_at(r, s1, 3, 0, now=0)
+        route_at(r, s2, 3, 0, now=8)
+        _, hops1 = route_at(r, s1, 3, 1, now=12)  # s1's lease expired
+        _, hops2 = route_at(r, s2, 3, 1, now=12)  # s2's lease still valid
         assert hops1 == [0] and hops2 == []
 
 

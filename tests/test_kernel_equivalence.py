@@ -182,8 +182,8 @@ class TestServeLoopEdges:
         spread = False
         for d in frags:
             bits, owners = sim.authmap.frag_state(d)
-            _, auth = sim.authmap.resolve_dir(d)
-            if any(o != auth for o in owners.values()):
+            auth, _ = sim.authmap.resolve_dir(d)
+            if any(o != auth for o in owners):
                 spread = True
         assert spread
 

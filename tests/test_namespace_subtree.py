@@ -101,13 +101,17 @@ class TestFrags:
     def test_frag_state(self, authmap):
         assert authmap.frag_state(3) is None
         authmap.split_dir(3, 2)
-        bits, owners = authmap.frag_state(3)
-        assert bits == 2 and set(owners) == {0, 1, 2, 3}
+        # owners[f] is the rank of frag f, one slot per frag
+        assert authmap.frag_state(3) == (2, (0, 0, 0, 0))
 
-    def test_frags_of(self, authmap):
-        authmap.split_dir(3, 1)
-        authmap.set_frag_auth(FragId(3, 1, 0), 1)
-        assert authmap.frags_of(1) == [FragId(3, 1, 0)]
+    def test_set_frag_auth_replaces_owners(self, authmap):
+        authmap.split_dir(3, 2)
+        before = authmap.frag_state(3)[1]
+        authmap.set_frag_auth(FragId(3, 2, 1), 2)
+        after = authmap.frag_state(3)[1]
+        assert before == (0, 0, 0, 0)  # a tuple read earlier keeps its values
+        assert after is not before
+        assert after == (0, 2, 0, 0)
 
     def test_split_needs_positive_bits(self, authmap):
         with pytest.raises(ValueError):
@@ -117,7 +121,7 @@ class TestFrags:
         authmap.split_dir(3, 1)
         with pytest.raises(ValueError):
             authmap.set_frag_auth(FragId(3, 1, 0), -1)
-        assert authmap.frag_state(3) == (1, {0: 0, 1: 0})
+        assert authmap.frag_state(3) == (1, (0, 0))
 
     def test_fragment_changes_keep_resolutions(self, authmap):
         # resolution reads only the subtree roots, so a fragment mutator

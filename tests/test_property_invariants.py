@@ -7,6 +7,7 @@ partition exactly, inode totals are conserved under arbitrary migration
 sequences, and the IF model stays in its documented range.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -139,6 +140,10 @@ class TestResolverOracle:
         planning = EpochPlan.from_authority(live).namespace
         table = AuthTable(live)
         for i, step in enumerate(steps):
+            # a snapshot shares the owner tuples, so it must never change
+            # after it is taken, whatever the maps do next
+            snaps = [am.snapshot_state() for am in (live, planning)]
+            copies = copy.deepcopy(snaps)
             for am in (live, planning):
                 mutate(am, step)
                 expected = propagated_authority(am)
@@ -148,6 +153,7 @@ class TestResolverOracle:
                 order = range(tree.n_dirs) if i % 2 else reversed(range(tree.n_dirs))
                 for d in order:
                     assert am.resolve_dir(d) == expected[d], (step, d)
+            assert snaps == copies, step
             assert planning.snapshot_state() == live.snapshot_state()
             table.refresh()
             fresh = AuthTable(live)
