@@ -36,6 +36,7 @@ integer-valued, hence exact. For the same reason a dir named by no entry
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from typing import NamedTuple
 
@@ -45,6 +46,9 @@ from repro.namespace.tree import NEVER_ACCESSED, NamespaceTree
 from repro.util.rng import substream
 
 __all__ = ["AccessStats", "WindowEntry"]
+
+#: at and above 2**53 a unit step no longer lands on an exact float
+_TWO53 = float(1 << 53)
 
 
 class WindowEntry(NamedTuple):
@@ -174,10 +178,11 @@ class AccessStats:
     # -------------------------------------------------------------- the fold
     # Folded and direct updates commute: integer tallies are commutative,
     # a file already stamped with this epoch re-touches as recurrent with
-    # no histogram move, and heat accumulates by repeated ``+= 1.0``
-    # (never ``+= n`` — adding an integer to an arbitrary float in one
-    # step can round differently than n unit steps, and heat feeds
-    # golden-traced decisions).
+    # no histogram move, and heat accumulates as repeated ``+= 1.0``.
+    # A plain ``+= n`` can round differently than n unit steps, and heat
+    # feeds golden-traced decisions, so :meth:`AccessStats._bump_heat`
+    # adds n in runs that end at the step crossing the heat's next power
+    # of two, the only step of a run that can round.
 
     def _fold(self) -> None:
         """Apply the logged accesses of this epoch; every reader calls it."""
@@ -250,9 +255,33 @@ class AccessStats:
     # once, applied directly: one call per client per tick.
 
     def _bump_heat(self, dir_id: int, count: int) -> None:
+        """Add ``count`` unit steps to a dir's heat in O(log count).
+
+        The result has the bits of ``count`` successive ``h += 1.0``. For
+        ``2**(e-1) <= h < 2**e`` with ``1 <= h < 2**53``, 1.0 is a
+        multiple of ulp(h), so every step that stays below ``2**e`` is
+        exact, and ``2**e - h`` is exact too (Sterbenz). Only the step
+        that crosses ``2**e`` can round, so the run of steps up to and
+        including it is one addition with one rounding; the next run is
+        twice as long. Heat below 1.0 takes single steps until it reaches
+        1.0 (one step for heat in ``[0, 1)``), and once a step leaves the
+        heat unchanged (``h >= 2**53``) so does every later one.
+        """
         h = self.heat[dir_id]
-        for _ in range(count):
-            h += 1.0
+        n = count
+        while n > 0:
+            if 1.0 <= h < _TWO53:
+                run = math.ceil(math.ldexp(1.0, math.frexp(h)[1]) - h)
+                if run > n:
+                    run = n
+                h += run
+                n -= run
+                continue
+            stepped = h + 1.0
+            if stepped == h:
+                break
+            h = stepped
+            n -= 1
         self.heat[dir_id] = h
 
     def record_create_batch(self, dir_id: int, first_idx: int, count: int) -> None:

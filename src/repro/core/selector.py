@@ -116,14 +116,12 @@ class SubtreeSelector:
         if amount <= self.min_load:
             return []
         tol = self.tolerance
-
-        usable = [c for c in self.candidates if self._usable(c)]
-        if not usable:
-            return []
+        # ``_usable`` has no side effects, so each path tests the cheap
+        # load predicate first and ``_usable`` only on what passes it.
 
         # Path 1 — a single subtree within the tolerance band.
-        for c in usable:
-            if abs(c.load - amount) <= tol * amount:
+        for c in self.candidates:
+            if abs(c.load - amount) <= tol * amount and self._usable(c):
                 return [self._take(c)]
 
         plans: list[ExportPlan] = []
@@ -134,7 +132,9 @@ class SubtreeSelector:
         # the only way to move part of one huge directory). Oversized
         # candidates whose load sits in descendants are left alone: their
         # children are separate candidates the greedy path picks up.
-        over = sorted((c for c in usable if c.load > amount), key=lambda x: x.load)
+        over = sorted((c for c in self.candidates
+                       if c.load > amount and self._usable(c)),
+                      key=lambda x: x.load)
         for c in over:
             if (not c.is_frag and c.self_files >= 2
                     and c.self_load >= 0.5 * c.load

@@ -33,7 +33,12 @@ whole tick collapses to integer arithmetic:
 - client cuts come from the pre-scanned stall queue
   (:meth:`~repro.workloads.base.Client.stall_scan`);
 - round-robin capacity contention is emulated over per-directory
-  fragment-owner cycles without touching an op;
+  fragment-owner cycles without touching an op
+  (:func:`capacity_race`): every run of rounds in which no rank can run
+  dry is served in one step per client, and rounds are stepped one at a
+  time only where a rank may run dry or a cold or stale client is still
+  in the race, so the race costs what its clients and dry-ups do, not
+  what its ops do;
 - each client gets exactly one batched apply per tick: MDS credits,
   :meth:`~repro.cluster.stats.AccessStats.record_create_batch` and
   :meth:`~repro.workloads.base.Client.advance_bulk`.
@@ -50,17 +55,18 @@ decision traces for every configuration (see ``docs/PERFORMANCE.md``).
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from typing import Any
 
 from repro.cluster.mds import MDS
 from repro.cluster.osd import OsdPool
 from repro.cluster.router import Router
 from repro.cluster.stats import AccessStats
-from repro.kernel.authtable import AuthTable
+from repro.kernel.authtable import AuthTable, OwnerCycle
 from repro.namespace.tree import NamespaceTree
 from repro.workloads.base import OP_CREATE, OP_READDIR, Client
 
-__all__ = ["ENGINES", "ColumnarEngine", "ScalarEngine"]
+__all__ = ["ENGINES", "ColumnarEngine", "ScalarEngine", "capacity_race"]
 
 # outcome of one client's turn in a round
 _SURVIVE = 0  # quantum exhausted while still ready: rejoin next round
@@ -70,6 +76,216 @@ _OUT = 1  # out for the rest of this tick (stall/done/rate/data/capacity)
 _OP_SERVED = 0
 _OP_OUT = 1
 _OP_BLOCKED = 2
+
+#: credits at or above this are never skipped ahead: an integer debit is
+#: exact only while ulp(credit) <= 1
+_EXACT_CREDIT = float(1 << 53)
+
+
+def capacity_race(mdss: list[MDS], quantum: int, cuts: list[int],
+                  heads: list[int], cycles: list[OwnerCycle | None],
+                  owners1: list[int], slow: list[bool],
+                  serve_slow: Callable[[int, int], int],
+                  ) -> tuple[list[int], list[int], int]:
+    """The turbo tick's round-robin capacity race over plain lists.
+
+    Client ``i`` wants ``cuts[i]`` creates. Its ``j``-th create lands on
+    position ``(heads[i] + j) % size`` of the fragment cycle
+    ``cycles[i]`` and debits that position's owner, or, when
+    ``cycles[i]`` is None, debits rank ``owners1[i]``. A client flagged
+    in ``slow`` takes each turn through ``serve_slow(i, budget)``, which
+    returns ``_SURVIVE`` or ``_OUT`` and debits what it serves itself.
+    Each round gives every client in the race one turn of at most
+    ``quantum`` ops (a lone client takes the rest of its cut); a turn
+    that finds its rank's credit below 1 blocks the client for the rest
+    of the tick and counts one wait. Credits are ``mdss[m].remaining``,
+    debited in place. Returns the ops served per client, the ops served
+    per rank (slow clients' excluded) and the wait count.
+
+    Skip-ahead: with no slow client left in the race, a turn debits any
+    one rank at most ``quantum``, so a rank ``m`` that ``n_m`` clients
+    may touch (a single owner, or any owner of a cycle) cannot run dry
+    within ``remaining_m // (quantum * n_m)`` rounds. The least such
+    count ``K`` over the touched ranks is served in one step: each
+    client takes ``min(K * quantum, cut left)`` ops along its cycle, and
+    each rank is debited once by the sum. No turn of those rounds could
+    have blocked, so the interleaving is unobservable, and an integer
+    debit no larger than a credit below 2**53 is exact, so one debit of
+    ``a + b`` leaves the bits of ``a`` then ``b``. ``quantum * n_m`` is
+    kept per rank as clients leave; the bound is computed again after
+    each skip and after each round that a client left, starting with the
+    rank that last stopped it. A slow client's forward hops debit ranks
+    no cycle names, so the race steps while one is in it.
+    """
+    n_ranks = len(mdss)
+    cnt = [0] * n_ranks
+    served = [0] * len(cuts)
+    wait = 0
+    order = list(range(len(cuts)))
+    n_slow = sum(slow)  # slow clients still in the race
+    # the most each rank can lose in one round to the warm clients still
+    # in the race: ``quantum`` per client that may touch it
+    need = [0] * n_ranks
+    for i in order:
+        if not slow[i]:
+            cyc = cycles[i]
+            if cyc is None:
+                need[owners1[i]] += quantum
+            else:
+                for m, _ in cyc.counts:
+                    need[m] += quantum
+    short = -1  # a rank last found short of its need, checked first
+    bound = True  # whether a skip-ahead may have become possible
+    while order:
+        if bound and not n_slow:
+            # -- skip ahead: the rounds in which no rank can run dry -------
+            bound = False
+            if short >= 0 and need[short] and not (
+                    need[short] <= mdss[short].remaining < _EXACT_CREDIT):
+                # Credits only fall: a rank short of its need stays short
+                # until a client that may touch it leaves the race.
+                rounds = 0
+            else:
+                rounds = -1  # no bound yet
+                for m, per_round in enumerate(need):
+                    if per_round:
+                        r = mdss[m].remaining
+                        if not per_round <= r < _EXACT_CREDIT:
+                            rounds = 0
+                            short = m
+                            break
+                        k = int(r) // per_round
+                        if rounds < 0 or k < rounds:
+                            rounds = k
+            if rounds > 0:
+                span = rounds * quantum
+                debit = [0] * n_ranks
+                nxt: list[int] = []
+                for i in order:
+                    left = cuts[i] - served[i]
+                    w = span if span < left else left
+                    cyc = cycles[i]
+                    if cyc is None:
+                        debit[owners1[i]] += w
+                    else:
+                        # whole cycles, then the segments of the window
+                        # [pos, pos + rem), which is shorter than a cycle
+                        P, starts, lens, sowners, counts = cyc
+                        full, rem = divmod(w, P)
+                        if full:
+                            for m, c in counts:
+                                debit[m] += full * c
+                        if rem:
+                            pos = (heads[i] + served[i]) % P
+                            si = bisect_right(starts, pos) - 1
+                            take = starts[si] + lens[si] - pos
+                            while True:
+                                if take >= rem:
+                                    debit[sowners[si]] += rem
+                                    break
+                                debit[sowners[si]] += take
+                                rem -= take
+                                si += 1
+                                if si == len(starts):
+                                    si = 0
+                                take = lens[si]
+                    served[i] += w
+                    if w < left:
+                        nxt.append(i)
+                    elif cyc is None:
+                        need[owners1[i]] -= quantum
+                    else:
+                        for m, _ in cyc.counts:
+                            need[m] -= quantum
+                for m, x in enumerate(debit):
+                    if x:
+                        mdss[m].remaining -= x
+                        cnt[m] += x
+                order = nxt
+                short = -1
+                bound = True
+                continue
+        # -- one stepped round ---------------------------------------------
+        nxt = []
+        single = len(order) == 1
+        budget = (1 << 30) if single else quantum
+        for i in order:
+            if slow[i]:
+                if serve_slow(i, budget) == _SURVIVE:
+                    nxt.append(i)
+                else:
+                    n_slow -= 1
+                    bound = True
+                continue
+            left = cuts[i] - served[i]
+            slice_n = left if single or left < quantum else quantum
+            cyc = cycles[i]
+            blocked = False
+            if cyc is None:
+                m = owners1[i]
+                md = mdss[m]
+                r = md.remaining
+                if r < 1.0:
+                    blocked = True
+                else:
+                    t = slice_n if r >= slice_n else int(r)
+                    md.remaining = r - t
+                    cnt[m] += t
+                    served[i] += t
+                    blocked = t < slice_n
+            else:
+                # walk same-owner segments of the fragment cycle; ops
+                # within a segment debit one MDS, so a whole segment
+                # (or the owner's credit floor) advances in one step
+                P, starts, lens, sowners, _ = cyc
+                pos = (heads[i] + served[i]) % P
+                si = bisect_right(starts, pos) - 1
+                off = pos - starts[si]
+                nseg = len(starts)
+                t = 0
+                while t < slice_n:
+                    m = sowners[si]
+                    md = mdss[m]
+                    r = md.remaining
+                    if r < 1.0:
+                        blocked = True
+                        break
+                    need_t = slice_n - t
+                    seg_avail = lens[si] - off
+                    take = seg_avail if seg_avail < need_t else need_t
+                    if r < take:
+                        # the owner's credits run dry inside this
+                        # segment: its next op blocks the client
+                        take = int(r)
+                        md.remaining = r - take
+                        cnt[m] += take
+                        t += take
+                        blocked = True
+                        break
+                    md.remaining = r - take
+                    cnt[m] += take
+                    t += take
+                    off += take
+                    if off == lens[si]:
+                        off = 0
+                        si += 1
+                        if si == nseg:
+                            si = 0
+                served[i] += t
+            if blocked:
+                wait += 1
+            elif served[i] < cuts[i]:
+                nxt.append(i)
+                continue
+            # out of the race: its ranks need less per round
+            if cyc is None:
+                need[owners1[i]] -= quantum
+            else:
+                for m, _ in cyc.counts:
+                    need[m] -= quantum
+            bound = True
+        order = nxt
+    return served, cnt, wait
 
 
 class ScalarEngine:
@@ -226,13 +442,15 @@ class ColumnarEngine(ScalarEngine):
         cache current, every touched fragment key cached at its live
         owner, read from the map's owners tuple — have a proven no-op
         ``route`` for every op of the tick, so their only cross-client
-        coupling is MDS capacity: their turns are emulated in exact
-        round-robin order against the live credit columns, and every
-        per-client side effect is applied once, in a single batched step
-        after the race. Clients whose cache is cold
+        coupling is MDS capacity: :func:`capacity_race` emulates their
+        turns in exact round-robin order against the live credit columns,
+        skipping ahead over the rounds in which no rank can run dry, and
+        every per-client side effect is applied once, in a single batched
+        step after the race. Clients whose cache is cold
         or stale (the first post-migration tick) take their turns through
         the reference path in the same round-robin sequence — credits
-        stay live precisely so both kinds of turn observe each other.
+        stay live precisely so both kinds of turn observe each other,
+        and the race steps round by round while one of them is in it.
         Returns False — with no simulation state touched — if any client
         breaks the regime (rate limits, data ops, shared or non-create
         streams).
@@ -242,16 +460,15 @@ class ColumnarEngine(ScalarEngine):
         resolve_dir = self.router.authmap.resolve_dir
         table = self.table
         frag_seq = table.frag_seq
-        frag_rle = table.frag_rle
-        frag_uniform = table.frag_uniform
+        frag_cycle = table.frag_cycle
         n_files = self.tree.n_files
         k = len(active)
         dirs: set[int] = set()
         ds = [0] * k  # target directory per client
         nfs = [0] * k  # its file count at tick start (first create index)
         n_cs = [0] * k  # tick cut: ops until stall / stream end
-        #: owner cycle RLE ``(P, starts, lens, owners)`` for multi-owner dirs
-        cycles: list[tuple[int, list[int], list[int], list[int]] | None] = [None] * k
+        #: fragment-owner cycle of multi-owner dirs
+        cycles: list[OwnerCycle | None] = [None] * k
         owners1 = [0] * k  # the single owner when cycles[i] is None
         slow = [False] * k  # cold/stale cache: served op by op
         for i, c in enumerate(active):
@@ -293,97 +510,18 @@ class ColumnarEngine(ScalarEngine):
                     fn = (fn + 1) & mask
                 if slow[i]:
                     continue
-                uniform = frag_uniform[d]
-                if uniform is not None:
-                    owners1[i] = uniform
+                cyc = frag_cycle[d]
+                if len(cyc.counts) == 1:
+                    owners1[i] = cyc.counts[0][0]
                 else:
-                    starts, lens, sowners = frag_rle[d]
-                    cycles[i] = (P, starts, lens, sowners)
+                    cycles[i] = cyc
             nfs[i] = nf
             n_cs[i] = n_c
         # -- the round-robin capacity race against live credit columns ------
-        # Emulated turns debit MDS.remaining in place (exact: stepwise and
-        # batched subtraction of integer credits agree in IEEE-754), so
-        # interleaved slow-client turns — which route, forward-charge and
-        # serve against the same columns — observe them and vice versa.
         mdss = self.mdss
-        cnt = [0] * len(mdss)
-        served = [0] * k
-        wait = 0
-        order = list(range(k))
-        quantum = self.serve_quantum
-        while order:
-            nxt: list[int] = []
-            single = len(order) == 1
-            budget = (1 << 30) if single else quantum
-            for i in order:
-                if slow[i]:
-                    if self._serve_client(active[i], now, budget) == _SURVIVE:
-                        nxt.append(i)
-                    continue
-                left = n_cs[i] - served[i]
-                slice_n = left if single or left < quantum else quantum
-                cyc = cycles[i]
-                if cyc is None:
-                    m = owners1[i]
-                    md = mdss[m]
-                    r = md.remaining
-                    if r < 1.0:
-                        wait += 1
-                        continue
-                    t = slice_n if r >= slice_n else int(r)
-                    md.remaining = r - t
-                    cnt[m] += t
-                    served[i] += t
-                    if t < slice_n:
-                        wait += 1
-                        continue
-                else:
-                    # walk same-owner segments of the fragment cycle; ops
-                    # within a segment debit one MDS, so a whole segment
-                    # (or the owner's credit floor) advances in one step
-                    P, starts, lens, sowners = cyc
-                    pos = (nfs[i] + served[i]) % P
-                    si = bisect_right(starts, pos) - 1
-                    off = pos - starts[si]
-                    nseg = len(starts)
-                    t = 0
-                    blocked = False
-                    while t < slice_n:
-                        m = sowners[si]
-                        md = mdss[m]
-                        r = md.remaining
-                        if r < 1.0:
-                            blocked = True
-                            break
-                        need = slice_n - t
-                        seg_avail = lens[si] - off
-                        take = seg_avail if seg_avail < need else need
-                        if r < take:
-                            # the owner's credits run dry inside this
-                            # segment: its next op blocks the client
-                            take = int(r)
-                            md.remaining = r - take
-                            cnt[m] += take
-                            t += take
-                            blocked = True
-                            break
-                        md.remaining = r - take
-                        cnt[m] += take
-                        t += take
-                        off += take
-                        if off == lens[si]:
-                            off = 0
-                            si += 1
-                            if si == nseg:
-                                si = 0
-                    served[i] += t
-                    if blocked:
-                        wait += 1
-                        continue
-                if served[i] < n_cs[i]:
-                    nxt.append(i)
-            order = nxt
+        served, cnt, wait = capacity_race(
+            mdss, self.serve_quantum, n_cs, nfs, cycles, owners1, slow,
+            lambda i, budget: self._serve_client(active[i], now, budget))
         # -- apply: one batched step per MDS and per client ------------------
         for m, n in enumerate(cnt):
             if n:

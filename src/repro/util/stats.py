@@ -28,6 +28,14 @@ def coefficient_of_variation(values: Sequence[float]) -> float:
     n = arr.size
     if n < 2:
         return 0.0
+    top = float(arr.max())
+    if top > 0.0:
+        # Normalise by an exact power of two. The scale commutes with
+        # every rounding in the mean, the deviations, their squares, the
+        # sqrt and the division wherever neither side under- or
+        # overflows, so the result has the unscaled bits for every
+        # normal-range load vector, and squares of tiny loads stay normal.
+        arr = np.ldexp(arr, -math.frexp(top)[1])
     mean = float(arr.mean())
     if mean <= 0.0:
         return 0.0

@@ -44,6 +44,13 @@ MATRIX = {
     # One client, one MDS: exercises the lone-survivor drain budget.
     "single_client": ("mdtest", "lunule",
                       SMALL.with_(n_mds=1, max_ticks=400), {}, False),
+    # Capacity-bound create storm: three clients per rank at low capacity
+    # and a non-default quantum, streams long enough for lunule to split
+    # dirs across ranks; turbo ticks skip ahead, then step the dry-ups.
+    "capacity_storm": ("mdtest", "lunule",
+                       SMALL.with_(n_mds=2, mds_capacity=20.0, serve_quantum=3,
+                                   max_ticks=3000),
+                       {"creates_per_client": 2000}, False),
 }
 
 
@@ -66,6 +73,40 @@ def test_trace_equivalence(name):
     assert result_s.completion_ticks == result_c.completion_ticks
     assert result_s.served_per_mds == result_c.served_per_mds
     assert result_s.total_forwards == result_c.total_forwards
+
+
+def test_capacity_storm_skips_then_steps(monkeypatch):
+    """The capacity storm's turbo ticks skip ahead, then step the dry-ups.
+
+    A spy on :func:`~repro.kernel.engine.capacity_race` reads each race's
+    inputs: with no slow client and every touched rank holding at least
+    ``quantum`` credits per client that may touch it, the race opens with
+    a skip-ahead; a wait can only come from a stepped round. Both must
+    occur in one tick, for single-owner and for multi-owner clients.
+    """
+    from repro.kernel import engine
+
+    race = engine.capacity_race
+    seen = {"skip_then_dry": 0, "cycle_skips": 0}
+
+    def spy(mdss, quantum, cuts, heads, cycles, owners1, slow, serve_slow):
+        need: dict[int, int] = {}
+        for i, cyc in enumerate(cycles):
+            for m in ([owners1[i]] if cyc is None else [m for m, _ in cyc.counts]):
+                need[m] = need.get(m, 0) + quantum
+        skips = not any(slow) and max(cuts) > 0 and all(
+            mdss[m].remaining >= x for m, x in need.items())
+        out = race(mdss, quantum, cuts, heads, cycles, owners1, slow, serve_slow)
+        if skips and out[2]:
+            seen["skip_then_dry"] += 1
+        if skips and any(cyc is not None for cyc in cycles):
+            seen["cycle_skips"] += 1
+        return out
+
+    monkeypatch.setattr(engine, "capacity_race", spy)
+    run_engine("capacity_storm", "columnar")
+    assert seen["skip_then_dry"] > 0
+    assert seen["cycle_skips"] > 0
 
 
 def test_chaos_trace_equivalence():

@@ -9,6 +9,7 @@ sequences, and the IF model stays in its documented range.
 
 import copy
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -159,8 +160,17 @@ class TestResolverOracle:
             fresh = AuthTable(live)
             fresh.refresh()
             assert table.frag_seq == fresh.frag_seq
-            assert table.frag_rle == fresh.frag_rle
-            assert table.frag_uniform == fresh.frag_uniform
+            assert table.frag_cycle == fresh.frag_cycle
+            for d, cyc in table.frag_cycle.items():
+                # the segments spell the tuple, and each owner is
+                # counted with exactly its fragments
+                seq = live.frag_state(d)[1]
+                assert cyc.size == len(seq)
+                assert [o for o, n in zip(cyc.owners, cyc.lens)
+                        for _ in range(n)] == list(seq)
+                assert cyc.starts == [sum(cyc.lens[:j])
+                                      for j in range(len(cyc.lens))]
+                assert cyc.counts == tuple(sorted(Counter(seq).items()))
 
 
 class TestFragPartition:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.util.stats import (
     RunningStats,
@@ -40,6 +40,8 @@ class TestCoV:
             assert coefficient_of_variation(loads) == pytest.approx(math.sqrt(n))
 
     @given(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=20), st.floats(0.1, 100.0))
+    # squared deviations of this load are subnormal unless normalised
+    @example(loads=[0.0, 2.3141773382025882e-157], k=0.109375)
     def test_scale_invariant(self, loads, k):
         a = coefficient_of_variation(loads)
         b = coefficient_of_variation([x * k for x in loads])
