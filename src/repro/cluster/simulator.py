@@ -147,6 +147,9 @@ class Simulator:
                  chaos=None) -> None:
         if config.n_mds <= 0:
             raise ValueError("need at least one MDS")
+        if config.serve_quantum < 1:
+            # a turn of no ops survives without serving, so no tick ends
+            raise ValueError("serve_quantum must be at least 1")
         self.config = config
         self.instance = instance
         self.tree = instance.tree

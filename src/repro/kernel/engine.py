@@ -36,15 +36,20 @@ whole tick collapses to integer arithmetic:
   fragment-owner cycles without touching an op
   (:func:`capacity_race`): every run of rounds in which no rank can run
   dry is served in one step per client, and rounds are stepped one at a
-  time only where a rank may run dry or a cold or stale client is still
-  in the race, so the race costs what its clients and dry-ups do, not
-  what its ops do;
+  time only where a rank may run dry or a client is still in its
+  prefix (below), so the race costs what its clients and dry-ups do,
+  not what its ops do;
 - each client gets exactly one batched apply per tick: MDS credits,
   :meth:`~repro.cluster.stats.AccessStats.record_create_batch` and
   :meth:`~repro.workloads.base.Client.advance_bulk`.
 
-A client whose cache is cold or stale takes its turns op by op through
-the reference path inside the same round-robin race. Any client that
+A client whose cache is cold or stale (its directory or a fragment moved,
+or its lease lapsed) routes a prefix of its tick through the reference
+path, op by op inside the same round-robin race: its creates up to the
+last one whose directory or fragment key is not cached at its live
+owner. Those routes cache every key its later creates touch, and a route
+on such a key writes nothing and hops nowhere, so the client rejoins the
+warm race for the rest of its cut, within the same turn. Any client that
 breaks the regime (a data op, a rate limit, a non-create or shared
 directory stream) sends the whole tick down the reference loop.
 
@@ -84,27 +89,31 @@ _EXACT_CREDIT = float(1 << 53)
 
 def capacity_race(mdss: list[MDS], quantum: int, cuts: list[int],
                   heads: list[int], cycles: list[OwnerCycle | None],
-                  owners1: list[int], slow: list[bool],
+                  owners1: list[int], pre: list[int],
                   serve_slow: Callable[[int, int], int],
                   ) -> tuple[list[int], list[int], int]:
     """The turbo tick's round-robin capacity race over plain lists.
 
-    Client ``i`` wants ``cuts[i]`` creates. Its ``j``-th create lands on
-    position ``(heads[i] + j) % size`` of the fragment cycle
-    ``cycles[i]`` and debits that position's owner, or, when
-    ``cycles[i]`` is None, debits rank ``owners1[i]``. A client flagged
-    in ``slow`` takes each turn through ``serve_slow(i, budget)``, which
-    returns ``_SURVIVE`` or ``_OUT`` and debits what it serves itself.
+    Client ``i`` first serves a prefix of ``pre[i]`` ops through
+    ``serve_slow(i, budget)``, which returns ``_SURVIVE`` or ``_OUT`` and
+    debits what it serves itself; then it wants ``cuts[i]`` warm creates.
+    Its ``j``-th warm create lands on position ``(heads[i] + j) % size``
+    of the fragment cycle ``cycles[i]`` and debits that position's
+    owner, or, when ``cycles[i]`` is None, debits rank ``owners1[i]``.
     Each round gives every client in the race one turn of at most
-    ``quantum`` ops (a lone client takes the rest of its cut); a turn
-    that finds its rank's credit below 1 blocks the client for the rest
-    of the tick and counts one wait. Credits are ``mdss[m].remaining``,
-    debited in place. Returns the ops served per client, the ops served
-    per rank (slow clients' excluded) and the wait count.
+    ``quantum`` ops (a lone client takes the rest of its cut): a turn
+    still in its prefix serves up to the prefix's end through
+    ``serve_slow`` and, if that survives and the prefix is done, spends
+    the rest of its budget warm. A warm turn that finds its rank's credit
+    below 1 blocks the client for the rest of the tick and counts one
+    wait. A prefix that covers the whole cut (``cuts[i] == 0``) must end
+    in ``_OUT``, as the last op of a cut does. Credits are
+    ``mdss[m].remaining``, debited in place. Returns the warm ops served
+    per client, the warm ops served per rank and the wait count.
 
-    Skip-ahead: with no slow client left in the race, a turn debits any
-    one rank at most ``quantum``, so a rank ``m`` that ``n_m`` clients
-    may touch (a single owner, or any owner of a cycle) cannot run dry
+    Skip-ahead: with no client left in its prefix, a turn debits any one
+    rank at most ``quantum``, so a rank ``m`` that ``n_m`` clients may
+    touch (a single owner, or any owner of a cycle) cannot run dry
     within ``remaining_m // (quantum * n_m)`` rounds. The least such
     count ``K`` over the touched ranks is served in one step: each
     client takes ``min(K * quantum, cut left)`` ops along its cycle, and
@@ -112,28 +121,36 @@ def capacity_race(mdss: list[MDS], quantum: int, cuts: list[int],
     have blocked, so the interleaving is unobservable, and an integer
     debit no larger than a credit below 2**53 is exact, so one debit of
     ``a + b`` leaves the bits of ``a`` then ``b``. ``quantum * n_m`` is
-    kept per rank as clients leave; the bound is computed again after
-    each skip and after each round that a client left, starting with the
-    rank that last stopped it. A slow client's forward hops debit ranks
-    no cycle names, so the race steps while one is in it.
+    kept per rank as clients join the warm race and leave it; the bound
+    is computed again after each skip and after each round that a client
+    joined or left, starting with the rank that last stopped it. A
+    prefix op's forward hops debit ranks no cycle names, so the race
+    steps while a client is in its prefix.
     """
     n_ranks = len(mdss)
     cnt = [0] * n_ranks
     served = [0] * len(cuts)
     wait = 0
     order = list(range(len(cuts)))
-    n_slow = sum(slow)  # slow clients still in the race
+    pre_left = list(pre)
+    n_slow = 0  # clients still in their prefix
     # the most each rank can lose in one round to the warm clients still
     # in the race: ``quantum`` per client that may touch it
     need = [0] * n_ranks
+
+    def shift_need(i: int, by: int) -> None:
+        cyc = cycles[i]
+        if cyc is None:
+            need[owners1[i]] += by
+        else:
+            for m, _ in cyc.counts:
+                need[m] += by
+
     for i in order:
-        if not slow[i]:
-            cyc = cycles[i]
-            if cyc is None:
-                need[owners1[i]] += quantum
-            else:
-                for m, _ in cyc.counts:
-                    need[m] += quantum
+        if pre_left[i]:
+            n_slow += 1
+        else:
+            shift_need(i, quantum)
     short = -1  # a rank last found short of its need, checked first
     bound = True  # whether a skip-ahead may have become possible
     while order:
@@ -192,11 +209,8 @@ def capacity_race(mdss: list[MDS], quantum: int, cuts: list[int],
                     served[i] += w
                     if w < left:
                         nxt.append(i)
-                    elif cyc is None:
-                        need[owners1[i]] -= quantum
                     else:
-                        for m, _ in cyc.counts:
-                            need[m] -= quantum
+                        shift_need(i, -quantum)
                 for m, x in enumerate(debit):
                     if x:
                         mdss[m].remaining -= x
@@ -210,15 +224,32 @@ def capacity_race(mdss: list[MDS], quantum: int, cuts: list[int],
         single = len(order) == 1
         budget = (1 << 30) if single else quantum
         for i in order:
-            if slow[i]:
-                if serve_slow(i, budget) == _SURVIVE:
-                    nxt.append(i)
-                else:
+            turn = budget
+            p = pre_left[i]
+            if p:
+                s = budget if budget < p else p
+                if serve_slow(i, s) != _SURVIVE:
                     n_slow -= 1
                     bound = True
-                continue
+                    continue
+                p -= s
+                pre_left[i] = p
+                if p:
+                    nxt.append(i)
+                    continue
+                # prefix done: every later op of the tick is warm, starting
+                # with the rest of this turn
+                n_slow -= 1
+                shift_need(i, quantum)
+                bound = True
+                turn -= s
+                if not turn:
+                    # the prefix took the whole turn: no warm slice, which
+                    # would test a credit without serving from it
+                    nxt.append(i)
+                    continue
             left = cuts[i] - served[i]
-            slice_n = left if single or left < quantum else quantum
+            slice_n = left if single or left < turn else turn
             cyc = cycles[i]
             blocked = False
             if cyc is None:
@@ -278,11 +309,7 @@ def capacity_race(mdss: list[MDS], quantum: int, cuts: list[int],
                 nxt.append(i)
                 continue
             # out of the race: its ranks need less per round
-            if cyc is None:
-                need[owners1[i]] -= quantum
-            else:
-                for m, _ in cyc.counts:
-                    need[m] -= quantum
+            shift_need(i, -quantum)
             bound = True
         order = nxt
     return served, cnt, wait
@@ -438,19 +465,24 @@ class ColumnarEngine(ScalarEngine):
 
         Eligible when every active client is an unlimited-rate create
         stream (:class:`~repro.workloads.base.RepeatOps`) into its own
-        directory, with no data path in play. Warm-cache clients — dir
-        cache current, every touched fragment key cached at its live
-        owner, read from the map's owners tuple — have a proven no-op
-        ``route`` for every op of the tick, so their only cross-client
-        coupling is MDS capacity: :func:`capacity_race` emulates their
-        turns in exact round-robin order against the live credit columns,
-        skipping ahead over the rounds in which no rank can run dry, and
-        every per-client side effect is applied once, in a single batched
-        step after the race. Clients whose cache is cold
-        or stale (the first post-migration tick) take their turns through
-        the reference path in the same round-robin sequence — credits
-        stay live precisely so both kinds of turn observe each other,
-        and the race steps round by round while one of them is in it.
+        directory, with no data path in play. Each client's cut of
+        ``n_c`` creates (up to its next stall or stream end) splits into
+        a prefix of ``pre`` ops and a warm rest: ``pre`` is 1 if the
+        directory key is not cached at its authority, raised to ``j + 1``
+        for the last window position ``j < min(n_c, P)`` whose fragment
+        key is not cached at its owner in the map's owners tuple. The
+        prefix routes through the reference path (``_serve_client``),
+        which caches every key the rest touches; ``resolve_dir`` and the
+        owners tuples cannot change inside a tick, so every later op has
+        a proven no-op ``route`` and the client's only cross-client
+        coupling is MDS capacity. :func:`capacity_race` emulates every
+        turn in exact round-robin order against the live credit columns
+        (credits stay live so prefix and warm turns observe each other),
+        stepping rounds while a prefix is in the race and skipping ahead
+        over the rounds in which no rank can run dry once none is. The
+        warm ops' side effects are applied once, in a single batched
+        step after the race; the prefix logs its accesses per op, and
+        both are unit heat steps of distinct files, so they commute.
         Returns False — with no simulation state touched — if any client
         breaks the regime (rate limits, data ops, shared or non-create
         streams).
@@ -465,12 +497,12 @@ class ColumnarEngine(ScalarEngine):
         k = len(active)
         dirs: set[int] = set()
         ds = [0] * k  # target directory per client
-        nfs = [0] * k  # its file count at tick start (first create index)
-        n_cs = [0] * k  # tick cut: ops until stall / stream end
+        nfs = [0] * k  # first warm create index: file count + prefix
+        n_cs = [0] * k  # warm cut: ops until stall / stream end, less prefix
         #: fragment-owner cycle of multi-owner dirs
         cycles: list[OwnerCycle | None] = [None] * k
         owners1 = [0] * k  # the single owner when cycles[i] is None
-        slow = [False] * k  # cold/stale cache: served op by op
+        pre = [0] * k  # prefix: ops routed through the reference path
         for i, c in enumerate(active):
             if c.rate is not None:
                 return False
@@ -484,43 +516,42 @@ class ColumnarEngine(ScalarEngine):
                 return False
             dirs.add(d)
             ds[i] = d
-            cache = c.routing.auth_cache
-            auth = resolve_dir(d)[0]
-            if cache.get(d) != auth:
-                slow[i] = True
-                continue
             cut = c.stall_scan(left - 1)
             n_c = left if cut < 0 else cut + 1
             nf = n_files[d]
+            cache = c.routing.auth_cache
+            auth = resolve_dir(d)[0]
+            p = 0 if cache.get(d) == auth else 1
             seq = frag_seq.get(d)
             if seq is None:
                 owners1[i] = auth
             else:
-                # Warm means every fragment key the tick's creates touch is
-                # cached at its live owner, so route() would neither hop nor
-                # change the cache. Keys repeat every cycle: probing at
-                # most one cycle covers the whole window.
+                # route() on a key cached at its live owner writes nothing
+                # and hops nowhere. The prefix runs through the window's
+                # last key that is not: its own routes cache the keys it
+                # covers, later ones are cached already, and keys repeat
+                # every cycle.
                 P = len(seq)
                 mask = P - 1
-                fn = nf & mask
-                for _ in range(n_c if n_c < P else P):
+                j = (n_c if n_c < P else P) - 1
+                while j >= p:
+                    fn = (nf + j) & mask
                     if cache.get((d, fn)) != seq[fn]:
-                        slow[i] = True
+                        p = j + 1
                         break
-                    fn = (fn + 1) & mask
-                if slow[i]:
-                    continue
+                    j -= 1
                 cyc = frag_cycle[d]
                 if len(cyc.counts) == 1:
                     owners1[i] = cyc.counts[0][0]
                 else:
                     cycles[i] = cyc
-            nfs[i] = nf
-            n_cs[i] = n_c
+            pre[i] = p
+            nfs[i] = nf + p
+            n_cs[i] = n_c - p
         # -- the round-robin capacity race against live credit columns ------
         mdss = self.mdss
         served, cnt, wait = capacity_race(
-            mdss, self.serve_quantum, n_cs, nfs, cycles, owners1, slow,
+            mdss, self.serve_quantum, n_cs, nfs, cycles, owners1, pre,
             lambda i, budget: self._serve_client(active[i], now, budget))
         # -- apply: one batched step per MDS and per client ------------------
         for m, n in enumerate(cnt):

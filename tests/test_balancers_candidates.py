@@ -183,6 +183,61 @@ class TestScaleToLoad:
         assert [s.load for s in scaled] == pytest.approx([c.load for c in cs])
 
 
+def two_pass_scale_to_load(candidates, total_load):
+    """``scale_to_load`` with its two passes over the candidates, the oracle."""
+    if total_load <= 0:
+        return []
+    est = sum(c.load for c in candidates if c.is_frag)
+    est += sum(c.self_load for c in candidates if not c.is_frag)
+    if est <= 0:
+        return []
+    scale = total_load / est
+    return [Candidate(c.unit, c.dir_id, c.load * scale, c.self_load * scale,
+                      c.self_files)
+            for c in candidates]
+
+
+signed_loads = st.one_of(
+    st.just(0.0),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(0.0, 1e-300),
+    st.floats(1e-3, 1e9),
+)
+
+
+@st.composite
+def candidate_lists(draw):
+    """Dir and frag candidates mixed, or all of one kind, or none."""
+    mix = draw(st.sampled_from(["mixed", "frags", "dirs", "empty"]))
+    n = 0 if mix == "empty" else draw(st.integers(1, 40))
+    out = []
+    for i in range(n):
+        frag = mix == "frags" or (mix == "mixed" and draw(st.booleans()))
+        unit = FragId(i, 3, draw(st.integers(0, 7))) if frag else i
+        out.append(Candidate(unit, i, draw(signed_loads), draw(signed_loads),
+                             draw(st.integers(0, 100))))
+    return out
+
+
+def hexes(cands: list[Candidate]) -> list[tuple]:
+    return [(c.unit, c.dir_id, c.load.hex(), c.self_load.hex(), c.self_files)
+            for c in cands]
+
+
+class TestScaleToLoadOnePass:
+    @given(candidate_lists(),
+           st.one_of(st.just(0.0), st.floats(-10.0, 1e6, allow_nan=False)))
+    @settings(max_examples=300, deadline=None)
+    @example([], 10.0)
+    @example([Candidate(FragId(0, 1, 0), 0, 0.1, 0.0, 1),
+              Candidate(1, 1, 9.0, 0.2, 1), Candidate(FragId(0, 1, 1), 0, 0.7, 5.0, 1),
+              Candidate(2, 2, 0.0, 0.3, 1)], 3.0)
+    def test_matches_two_passes(self, cands, total):
+        """The one-pass split keeps every scaled value's bits."""
+        assert hexes(scale_to_load(cands, total)) == hexes(
+            two_pass_scale_to_load(cands, total))
+
+
 class TestFanoutScale:
     def test_many_dirs(self):
         b = build_fanout(50, 4)

@@ -53,6 +53,11 @@ class TestBasicRun:
         with pytest.raises(ValueError):
             make_sim("nop", n_mds=0)
 
+    @pytest.mark.parametrize("quantum", [0, -1])
+    def test_needs_a_positive_quantum(self, make_sim, quantum):
+        with pytest.raises(ValueError):
+            make_sim("nop", serve_quantum=quantum)
+
 
 class TestBalancedRun:
     def test_lunule_spreads_load(self, make_sim):

@@ -51,6 +51,16 @@ MATRIX = {
                        SMALL.with_(n_mds=2, mds_capacity=20.0, serve_quantum=3,
                                    max_ticks=3000),
                        {"creates_per_client": 2000}, False),
+    # The capacity storm with leases that lapse every 7 ticks and
+    # fractional forward charges: turbo ticks hold cold and stale
+    # clients that route a prefix through the reference path, then
+    # rejoin the warm race (some on multi-owner cycles) as ranks run dry.
+    "stale_capacity_churn": ("mdtest", "lunule",
+                             SMALL.with_(n_mds=2, mds_capacity=20.0,
+                                         serve_quantum=3, max_ticks=3000,
+                                         client_lease_ttl=7,
+                                         forward_charge=0.5),
+                             {"creates_per_client": 2000}, False),
 }
 
 
@@ -79,7 +89,7 @@ def test_capacity_storm_skips_then_steps(monkeypatch):
     """The capacity storm's turbo ticks skip ahead, then step the dry-ups.
 
     A spy on :func:`~repro.kernel.engine.capacity_race` reads each race's
-    inputs: with no slow client and every touched rank holding at least
+    inputs: with no client in a prefix and every touched rank holding at least
     ``quantum`` credits per client that may touch it, the race opens with
     a skip-ahead; a wait can only come from a stepped round. Both must
     occur in one tick, for single-owner and for multi-owner clients.
@@ -89,14 +99,14 @@ def test_capacity_storm_skips_then_steps(monkeypatch):
     race = engine.capacity_race
     seen = {"skip_then_dry": 0, "cycle_skips": 0}
 
-    def spy(mdss, quantum, cuts, heads, cycles, owners1, slow, serve_slow):
+    def spy(mdss, quantum, cuts, heads, cycles, owners1, pre, serve_slow):
         need: dict[int, int] = {}
         for i, cyc in enumerate(cycles):
             for m in ([owners1[i]] if cyc is None else [m for m, _ in cyc.counts]):
                 need[m] = need.get(m, 0) + quantum
-        skips = not any(slow) and max(cuts) > 0 and all(
+        skips = not any(pre) and max(cuts) > 0 and all(
             mdss[m].remaining >= x for m, x in need.items())
-        out = race(mdss, quantum, cuts, heads, cycles, owners1, slow, serve_slow)
+        out = race(mdss, quantum, cuts, heads, cycles, owners1, pre, serve_slow)
         if skips and out[2]:
             seen["skip_then_dry"] += 1
         if skips and any(cyc is not None for cyc in cycles):
@@ -107,6 +117,57 @@ def test_capacity_storm_skips_then_steps(monkeypatch):
     run_engine("capacity_storm", "columnar")
     assert seen["skip_then_dry"] > 0
     assert seen["cycle_skips"] > 0
+
+
+def test_stale_clients_route_only_their_prefix(monkeypatch):
+    """A cold or stale client routes only its prefix, then serves warm.
+
+    Spies count the reference path's ``_serve_op`` calls inside each
+    turbo tick against the prefixes the tick hands
+    :func:`~repro.kernel.engine.capacity_race`: the calls are at most
+    their sum (fewer when a prefix blocks). The run must also hold
+    clients, single- and multi-owner, that finish a prefix and go on
+    to serve warm creates in the same tick.
+    """
+    from repro.kernel import engine
+
+    race = engine.capacity_race
+    turbo = engine.ColumnarEngine._turbo_tick
+    serve_op = engine.ScalarEngine._serve_op
+    tick = {"in": False, "ops": 0, "pre": 0}
+    seen = {"prefixes": 0, "warm_after": 0, "cycle_warm_after": 0}
+
+    def spy_race(mdss, quantum, cuts, heads, cycles, owners1, pre, serve_slow):
+        tick["pre"] += sum(pre)
+        out = race(mdss, quantum, cuts, heads, cycles, owners1, pre, serve_slow)
+        for i, p in enumerate(pre):
+            if p:
+                seen["prefixes"] += 1
+                if out[0][i]:
+                    seen["warm_after"] += 1
+                    seen["cycle_warm_after"] += cycles[i] is not None
+        return out
+
+    def spy_turbo(self, active, now):
+        tick.update({"in": True, "ops": 0, "pre": 0})
+        try:
+            return turbo(self, active, now)
+        finally:
+            tick["in"] = False
+            assert tick["ops"] <= tick["pre"], (now, tick)
+
+    def spy_serve_op(self, c, now):
+        if tick["in"]:
+            tick["ops"] += 1
+        return serve_op(self, c, now)
+
+    monkeypatch.setattr(engine, "capacity_race", spy_race)
+    monkeypatch.setattr(engine.ColumnarEngine, "_turbo_tick", spy_turbo)
+    monkeypatch.setattr(engine.ScalarEngine, "_serve_op", spy_serve_op)
+    run_engine("stale_capacity_churn", "columnar")
+    assert seen["prefixes"] > 0
+    assert seen["warm_after"] > 0
+    assert seen["cycle_warm_after"] > 0
 
 
 def test_chaos_trace_equivalence():

@@ -1,13 +1,15 @@
 """The turbo tick's capacity race and the batched heat bump against oracles.
 
-:func:`repro.kernel.engine.capacity_race` skips ahead over every round in
+:func:`repro.kernel.engine.capacity_race` serves each client's cold or
+stale prefix through the reference path, skips ahead over every round in
 which no rank can run dry and steps one round at a time only where a
-rank may run dry or a cold/stale client is in the race.
-:func:`stepped_race` below is the race as it was before the skip-ahead,
-one round at a time, kept here as the oracle: on generated races both
-must serve the same ops per client and per rank, count the same waits
-and leave every credit with the same bits. ``AccessStats._bump_heat``
-adds ``n`` unit steps in O(log n); its oracle is ``n`` times ``+= 1.0``.
+rank may run dry or a client is still in its prefix.
+:func:`stepped_race` below is the race one round at a time, a prefix
+served through the stub and then the warm cut within the same turn,
+kept here as the oracle: on generated races both must serve the same
+ops per client and per rank, count the same waits and leave every credit
+with the same bits. ``AccessStats._bump_heat`` adds ``n`` unit steps in
+O(log n); its oracle is ``n`` times ``+= 1.0``.
 """
 
 from __future__ import annotations
@@ -31,11 +33,30 @@ class Rank:
         self.remaining = remaining
 
 
-def stepped_race(mdss, quantum, cuts, heads, cycles, owners1, slow, serve_slow):
-    """The race one round at a time, as the turbo tick ran it before."""
+class Counted:
+    """A credit column that counts the writes to it in ``writes[m]``."""
+
+    def __init__(self, writes: list[int], m: int, r: float) -> None:
+        self.writes = writes
+        self.m = m
+        self._r = r
+
+    @property
+    def remaining(self) -> float:
+        return self._r
+
+    @remaining.setter
+    def remaining(self, r: float) -> None:
+        self.writes[self.m] += 1
+        self._r = r
+
+
+def stepped_race(mdss, quantum, cuts, heads, cycles, owners1, pre, serve_slow):
+    """The race one round at a time, each turn's prefix ops first."""
     k = len(cuts)
     cnt = [0] * len(mdss)
     served = [0] * k
+    pre_left = list(pre)
     wait = 0
     order = list(range(k))
     while order:
@@ -43,12 +64,18 @@ def stepped_race(mdss, quantum, cuts, heads, cycles, owners1, slow, serve_slow):
         single = len(order) == 1
         budget = (1 << 30) if single else quantum
         for i in order:
-            if slow[i]:
-                if serve_slow(i, budget) == _SURVIVE:
+            turn = budget
+            if pre_left[i]:
+                s = min(turn, pre_left[i])
+                if serve_slow(i, s) != _SURVIVE:
+                    continue
+                pre_left[i] -= s
+                turn -= s
+                if pre_left[i] or not turn:
                     nxt.append(i)
-                continue
+                    continue
             left = cuts[i] - served[i]
-            slice_n = left if single or left < quantum else quantum
+            slice_n = left if single or left < turn else turn
             cyc = cycles[i]
             if cyc is None:
                 m = owners1[i]
@@ -109,23 +136,29 @@ def stepped_race(mdss, quantum, cuts, heads, cycles, owners1, slow, serve_slow):
 
 
 class SlowClients:
-    """Scripted cold/stale clients, served op by op like ``_serve_client``.
+    """Scripted prefixes, served op by op like ``_serve_client``.
 
-    Client ``i`` has ``total`` ops. Each of its first ``hop_ops`` ops is
-    forwarded through ``hops`` (each hop pays ``charge``, which may be
-    fractional) before it is served on ``rank``; an op that finds
+    Client ``i``'s prefix has ``pre[i]`` ops, each served on ``rank``;
+    each of its first ``hop_ops`` is first forwarded through ``hops``
+    (each hop pays ``charge``, which may be fractional). An op that finds
     ``rank`` below one credit blocks the client for the rest of the tick.
+    A prefix that covers the client's whole cut (``cuts[i] == 0``) ends
+    it: its last op returns ``_OUT``, as the last op of a cut does.
     """
 
-    def __init__(self, mdss, scripts, charge: float) -> None:
+    def __init__(self, mdss, scripts, pre, cuts, charge: float) -> None:
         self.mdss = mdss
         self.scripts = scripts
+        self.pre = pre
+        self.cuts = cuts
         self.charge = charge
         self.served = dict.fromkeys(scripts, 0)
         self.wait = 0
 
     def __call__(self, i: int, budget: int) -> int:
-        rank, hops, hop_ops, total = self.scripts[i]
+        # the race asks only for prefix ops, at least one at a time
+        assert 1 <= budget <= self.pre[i] - self.served[i]
+        rank, hops, hop_ops = self.scripts[i]
         mdss = self.mdss
         for _ in range(budget):
             md = mdss[rank]
@@ -137,7 +170,7 @@ class SlowClients:
                     mdss[h].remaining -= self.charge
             md.remaining -= 1.0
             self.served[i] += 1
-            if self.served[i] == total:
+            if self.served[i] == self.pre[i] and self.cuts[i] == 0:
                 return _OUT
         return _SURVIVE
 
@@ -169,37 +202,36 @@ def races(draw):
     start = draw(st.lists(credits, min_size=n_ranks, max_size=n_ranks))
     quantum = draw(st.integers(1, 16))
     k = draw(st.integers(1, 10))
-    cuts, heads, cycles, owners1, slow = [], [], [], [], []
+    cuts, heads, cycles, owners1, pre = [], [], [], [], []
     scripts = {}
     for i in range(k):
-        kind = draw(st.sampled_from(["single", "cycle", "slow"]))
+        kind = draw(st.sampled_from(["single", "cycle"]))
         cuts.append(draw(st.integers(0, 3000)))
         heads.append(draw(st.integers(0, 1 << 20)))
         owners1.append(0)
         cycles.append(None)
-        slow.append(kind == "slow")
         if kind == "single":
             owners1[i] = draw(st.integers(0, n_ranks - 1))
-        elif kind == "cycle":
-            cycles[i] = owner_cycle(draw(owner_tuples(n_ranks)))
         else:
-            cuts[i] = 0  # a slow client's ops are its script's
+            cycles[i] = owner_cycle(draw(owner_tuples(n_ranks)))
+        # a cold or stale client: its first ops route through the stub
+        pre.append(draw(st.integers(1, 300)) if draw(st.booleans()) else 0)
+        if pre[i]:
             scripts[i] = (
                 draw(st.integers(0, n_ranks - 1)),
                 draw(st.lists(st.integers(0, n_ranks - 1), max_size=2)),
                 draw(st.integers(0, 5)),
-                draw(st.integers(1, 300)),
             )
     charge = draw(st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.0]))
-    return start, quantum, cuts, heads, cycles, owners1, slow, scripts, charge
+    return start, quantum, cuts, heads, cycles, owners1, pre, scripts, charge
 
 
 def run(race, case):
-    start, quantum, cuts, heads, cycles, owners1, slow, scripts, charge = case
+    start, quantum, cuts, heads, cycles, owners1, pre, scripts, charge = case
     mdss = [Rank(r) for r in start]
-    stub = SlowClients(mdss, scripts, charge)
+    stub = SlowClients(mdss, scripts, pre, cuts, charge)
     served, cnt, wait = race(mdss, quantum, list(cuts), list(heads), cycles,
-                             list(owners1), list(slow), stub)
+                             list(owners1), list(pre), stub)
     return (served, cnt, wait, stub.wait, stub.served,
             [md.remaining.hex() for md in mdss])
 
@@ -214,25 +246,10 @@ class TestCapacityRace:
     def test_ample_credits_take_one_skip(self):
         """With no rank able to run dry, each rank is debited once."""
         writes = [0] * 4
-
-        class Counted:
-            def __init__(self, m: int, r: float) -> None:
-                self.m = m
-                self._r = r
-
-            @property
-            def remaining(self) -> float:
-                return self._r
-
-            @remaining.setter
-            def remaining(self, r: float) -> None:
-                writes[self.m] += 1
-                self._r = r
-
-        mdss = [Counted(m, 10_000.5) for m in range(4)]
+        mdss = [Counted(writes, m, 10_000.5) for m in range(4)]
         served, cnt, wait = capacity_race(
             mdss, 8, [1000] * 4, [0] * 4, [None] * 4, [0, 1, 2, 3],
-            [False] * 4, lambda i, b: _OUT)
+            [0] * 4, lambda i, b: _OUT)
         assert served == [1000] * 4 and cnt == [1000] * 4 and wait == 0
         assert writes == [1, 1, 1, 1]
         assert [md.remaining for md in mdss] == [9000.5] * 4
@@ -242,14 +259,40 @@ class TestCapacityRace:
         mdss = [Rank(100.0), Rank(100.0)]
         cyc = owner_cycle((0, 0, 1, 1))
         case = ([100.0, 100.0], 8, [1000, 1000], [0, 1], [None, cyc], [0, 0],
-                [False, False], {}, 1.0)
+                [0, 0], {}, 1.0)
         assert run(capacity_race, case) == run(stepped_race, case)
         served, cnt, wait = capacity_race(
             mdss, 8, [1000, 1000], [0, 1], [None, cyc], [0, 0],
-            [False, False], lambda i, b: _OUT)
+            [0, 0], lambda i, b: _OUT)
         # rank 0 runs dry, and each client blocks on it once
         assert cnt[0] == 100 and mdss[0].remaining == 0.0
         assert wait == 2 and sum(served) == sum(cnt)
+
+    def test_prefix_rejoins_warm_in_the_same_turn(self):
+        """A client serves its prefix, the rest of that turn warm, then skips.
+
+        Client 0's 3 prefix ops go through the stub (3 credit writes on
+        rank 0); the remaining 5 ops of its first turn are one warm debit;
+        with no prefix left, every later round is one skip per rank.
+        """
+        writes = [0] * 4
+        mdss = [Counted(writes, m, 10_000.0) for m in range(4)]
+        calls: list[tuple[int, int]] = []
+
+        def serve_slow(i: int, budget: int) -> int:
+            calls.append((i, budget))
+            for _ in range(budget):
+                mdss[0].remaining -= 1.0
+            return _SURVIVE
+
+        served, cnt, wait = capacity_race(
+            mdss, 8, [997, 1000, 1000, 1000], [3, 0, 0, 0], [None] * 4,
+            [0, 1, 2, 3], [3, 0, 0, 0], serve_slow)
+        assert calls == [(0, 3)]
+        assert served == [997, 1000, 1000, 1000] and wait == 0
+        assert cnt == [997, 1000, 1000, 1000]
+        assert writes == [3 + 1 + 1, 2, 2, 2]
+        assert [md.remaining for md in mdss] == [9000.0] * 4
 
 
 def unit_steps(h: float, n: int) -> float:
