@@ -30,6 +30,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -64,6 +65,31 @@ FIGURES = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a capacity or scale: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -75,12 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one workload under one balancer")
     run_p.add_argument("--workload", "-w", choices=WORKLOAD_NAMES, default="zipf")
     run_p.add_argument("--balancer", "-b", choices=BALANCER_NAMES, default="lunule")
-    run_p.add_argument("--clients", "-c", type=int, default=20)
-    run_p.add_argument("--mds", "-m", type=int, default=5)
-    run_p.add_argument("--capacity", type=float, default=100.0,
+    run_p.add_argument("--clients", "-c", type=_positive_int, default=20)
+    run_p.add_argument("--mds", "-m", type=_positive_int, default=5)
+    run_p.add_argument("--capacity", type=_positive_float, default=100.0,
                        help="metadata ops per tick per MDS")
     run_p.add_argument("--seed", type=int, default=7)
-    run_p.add_argument("--scale", type=float, default=1.0,
+    run_p.add_argument("--scale", type=_positive_float, default=1.0,
                        help="dataset/op-count multiplier")
     run_p.add_argument("--engine", choices=("scalar", "columnar"),
                        default=None,
@@ -116,11 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
                       default=["cnn", "nlp", "web", "zipf", "mdtest"])
     sw_p.add_argument("--balancers", "-b", nargs="+", choices=BALANCER_NAMES,
                       default=["vanilla", "lunule"])
-    sw_p.add_argument("--clients", "-c", type=int, default=20)
+    sw_p.add_argument("--clients", "-c", type=_positive_int, default=20)
     sw_p.add_argument("--seed", type=int, default=7)
-    sw_p.add_argument("--scale", type=float, default=1.0,
+    sw_p.add_argument("--scale", type=_positive_float, default=1.0,
                       help="dataset/op-count multiplier")
-    sw_p.add_argument("--workers", "-j", type=int, default=None,
+    sw_p.add_argument("--workers", "-j", type=_positive_int, default=None,
                       help="worker processes (default: CPU count)")
     sw_p.add_argument("--record", metavar="DIR",
                       help="record every run and write the deterministically "
@@ -133,12 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one simulation with decision tracing; dump/summarize JSONL")
     tr_p.add_argument("--workload", "-w", choices=WORKLOAD_NAMES, default="zipf")
     tr_p.add_argument("--balancer", "-b", choices=BALANCER_NAMES, default="lunule")
-    tr_p.add_argument("--clients", "-c", type=int, default=20)
-    tr_p.add_argument("--mds", "-m", type=int, default=5)
-    tr_p.add_argument("--capacity", type=float, default=100.0,
+    tr_p.add_argument("--clients", "-c", type=_positive_int, default=20)
+    tr_p.add_argument("--mds", "-m", type=_positive_int, default=5)
+    tr_p.add_argument("--capacity", type=_positive_float, default=100.0,
                       help="metadata ops per tick per MDS")
     tr_p.add_argument("--seed", type=int, default=7)
-    tr_p.add_argument("--scale", type=float, default=1.0,
+    tr_p.add_argument("--scale", type=_positive_float, default=1.0,
                       help="dataset/op-count multiplier")
     tr_p.add_argument("--engine", choices=("scalar", "columnar"),
                       default=None,
@@ -146,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "the two (see repro diff)")
     tr_p.add_argument("--out", "-o", metavar="FILE",
                       help="write the decision trace as JSONL to FILE")
-    tr_p.add_argument("--ring", type=int, metavar="N",
+    tr_p.add_argument("--ring", type=_positive_int, metavar="N",
                       help="keep only the most recent N events (O(1) memory)")
     tr_p.add_argument("--from", dest="from_file", metavar="FILE",
                       help="summarize an existing JSONL trace instead of running")
@@ -208,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
                       default="lunule")
     ch_p.add_argument("--workload", "-w", choices=WORKLOAD_NAMES,
                       default="mdtest")
-    ch_p.add_argument("--clients", "-c", type=int, default=8)
-    ch_p.add_argument("--mds", "-m", type=int, default=None,
+    ch_p.add_argument("--clients", "-c", type=_positive_int, default=8)
+    ch_p.add_argument("--mds", "-m", type=_positive_int, default=None,
                       help="cluster size (default: the chaos bench config's)")
     ch_p.add_argument("--engine", choices=("scalar", "columnar"),
                       default=None,
                       help="serve-path engine for the disturbed run")
-    ch_p.add_argument("--scale", type=float, default=0.15,
+    ch_p.add_argument("--scale", type=_positive_float, default=0.15,
                       help="dataset/op-count multiplier")
     ch_p.add_argument("--out", "-o", metavar="FILE",
                       help="write the JSON robustness report to FILE")
@@ -231,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
              "plane (metrics scrape, status, event stream, live config)")
     srv_p.add_argument("--workload", "-w", choices=WORKLOAD_NAMES, default="zipf")
     srv_p.add_argument("--balancer", "-b", choices=BALANCER_NAMES, default="lunule")
-    srv_p.add_argument("--clients", "-c", type=int, default=20)
-    srv_p.add_argument("--mds", "-m", type=int, default=5)
-    srv_p.add_argument("--capacity", type=float, default=100.0,
+    srv_p.add_argument("--clients", "-c", type=_positive_int, default=20)
+    srv_p.add_argument("--mds", "-m", type=_positive_int, default=5)
+    srv_p.add_argument("--capacity", type=_positive_float, default=100.0,
                        help="metadata ops per tick per MDS")
     srv_p.add_argument("--seed", type=int, default=7)
-    srv_p.add_argument("--scale", type=float, default=1.0,
+    srv_p.add_argument("--scale", type=_positive_float, default=1.0,
                        help="dataset/op-count multiplier")
     srv_p.add_argument("--engine", choices=("scalar", "columnar"), default=None)
     srv_p.add_argument("--data-path", action="store_true",
@@ -277,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("figure", help="regenerate a paper table/figure")
     fig_p.add_argument("id", choices=sorted(FIGURES) + ["all"])
-    fig_p.add_argument("--scale", type=float, default=1.0)
+    fig_p.add_argument("--scale", type=_positive_float, default=1.0)
     fig_p.add_argument("--seed", type=int, default=7)
 
     lint_p = sub.add_parser(
@@ -308,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ovh_p = sub.add_parser("overhead",
                            help="control-plane overhead accounting (paper §3.4)")
-    ovh_p.add_argument("--mds", "-m", type=int, default=5)
+    ovh_p.add_argument("--mds", "-m", type=_positive_int, default=5)
     ovh_p.add_argument("--seed", type=int, default=7)
 
     sub.add_parser("list", help="list workloads, balancers and figure ids")
@@ -400,9 +426,6 @@ def _cmd_sweep(args, out) -> int:
     from repro.experiments.runner import run_matrix
 
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
-        return 2
     base = ExperimentConfig(n_clients=args.clients, seed=args.seed,
                             scale=args.scale)
     engine = ExperimentEngine(workers=workers)
@@ -508,10 +531,6 @@ def _apply_trace_filters(events, args, epoch_range):
 def _cmd_trace(args, out) -> int:
     from repro.obs.tracelog import read_jsonl, write_jsonl
 
-    if args.ring is not None and args.ring < 1:
-        print(f"error: --ring must be a positive event count, got {args.ring}",
-              file=sys.stderr)
-        return 2
     epoch_range = None
     if args.epoch_range is not None:
         try:

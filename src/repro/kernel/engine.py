@@ -30,8 +30,9 @@ whole tick collapses to integer arithmetic:
   :class:`~repro.kernel.authtable.AuthTable` holds with their run-length
   segments (rebuilt only for a tuple the map has replaced), instead of
   one resolution per op;
-- client cuts come from the pre-scanned stall queue
-  (:meth:`~repro.workloads.base.Client.stall_scan`);
+- each client's cut comes from its queue of stalling draw indices
+  (:meth:`~repro.workloads.base.Client.stall_scan`), a peek that
+  consumes no draw;
 - round-robin capacity contention is emulated over per-directory
   fragment-owner cycles without touching an op
   (:func:`capacity_race`): every run of rounds in which no rank can run

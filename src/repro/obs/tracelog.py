@@ -79,9 +79,6 @@ class TraceLog:
         """
         self._listeners.append(fn)
 
-    def remove_listener(self, fn: Callable[[TraceEvent], None]) -> None:
-        self._listeners.remove(fn)
-
     def next_decision_id(self) -> int:
         """Mint the next decision id (see :class:`TraceSink`)."""
         return self.ids.next()

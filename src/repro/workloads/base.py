@@ -14,6 +14,7 @@ variance, and that drift is what makes balancing scan workloads profitable
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -70,7 +71,16 @@ class RepeatOps:
 
 
 class Client:
-    """One closed-loop workload client."""
+    """One closed-loop workload client.
+
+    Jitter is one uniform draw per completed op that lines up a next one,
+    from the client's own RNG substream: when draw ``k`` is below
+    :attr:`stall_prob`, the op it lines up waits for the next tick. Only
+    whether a draw stalls is ever read, so the client takes the stream in
+    ``random(256)`` blocks and keeps just the stalling indices between
+    ``_drawn`` (draws consumed) and ``_scanned`` (draws taken, a multiple
+    of 256).
+    """
 
     __slots__ = (
         "cid",
@@ -87,12 +97,9 @@ class Client:
         "_ops",
         "current",
         "_rng",
-        "_draws",
-        "_draw_pos",
-        "_pending",
-        "_draw_abs",
+        "_drawn",
+        "_scanned",
         "_stalls",
-        "_scanned_abs",
         "rate_tick",
         "rate_served",
     )
@@ -119,20 +126,10 @@ class Client:
         self.data_bytes = 0
         self._ops = ops
         self._rng = substream(seed, "client", cid)
-        # Stall decisions come from pre-drawn batches: advance() runs once
-        # per op, and one numpy scalar draw per op dominates its cost.
-        # ``_pending`` holds blocks prefetched by batch lookahead; blocks
-        # are always drawn as full 256-wide ``random(256)`` calls, so
-        # prefetching changes *when* a block is drawn, never its values.
-        self._draws = self._rng.random(256) if stall_prob > 0.0 else None
-        self._draw_pos = 0
-        self._pending: list[np.ndarray] = []
-        # Stall lookahead over the draw stream, in absolute draw indices:
-        # blocks are scanned for sub-threshold draws once each (one
-        # ``nonzero`` per 256 draws) instead of re-sliced per run.
-        self._draw_abs = 0
-        self._stalls: list[int] = []
-        self._scanned_abs = 0
+        self._drawn = 0
+        self._scanned = 0
+        #: stalling draw indices in ``[_drawn, _scanned)``, ascending
+        self._stalls: deque[int] = deque()
         self.current: Op | None = next(ops, None)
         self.rate_tick = -1
         self.rate_served = 0
@@ -150,85 +147,49 @@ class Client:
         if self.current is None:
             self.done_at = now
             return
-        if self._draws is not None:
-            draw = self._draws[self._draw_pos]
-            self._consume_draws(1)
-            if draw < self.stall_prob:
+        # inline rather than a helper shared with advance_bulk: this runs
+        # once per op, where a method call is a measurable share
+        if self.stall_prob > 0.0:
+            k = self._drawn
+            self._drawn = k + 1
+            if k == self._scanned:
+                self._scan()
+            st = self._stalls
+            if st and st[0] == k:
+                st.popleft()
                 self.ready_at = now + 1
 
+    def _scan(self) -> None:
+        """Take the next 256-draw block and queue its stalling indices."""
+        base = self._scanned
+        hits = np.flatnonzero(self._rng.random(256) < self.stall_prob)
+        self._stalls.extend((hits + base).tolist())
+        self._scanned = base + 256
+
     # ---------------------------------------------------------- batched path
-    # Bulk views for the turbo tick: stall draws peekable in bulk and
-    # structured streams skippable arithmetically. Every method is
-    # advance()-equivalent op for op; the client RNG observes the same
-    # call sequence either way (per-client substreams make early block
-    # draws value-identical).
+    # Bulk views for the turbo tick: the next stall found without
+    # consuming a draw, and structured streams skipped arithmetically.
+    # Both are advance()-equivalent op for op: blocks are taken in the
+    # same order from a substream nothing else reads, so taking one early
+    # never changes its values.
 
     def stall_scan(self, n: int) -> int:
         """Index of the first stalling draw among the next ``n``, or -1.
 
-        Peeks without consuming; prefetches whole RNG blocks as needed.
-        Each block is scanned for sub-threshold draws at most once (the
-        hits live in :attr:`_stalls` as absolute draw indices), so
-        repeated scans over the same stretch of the draw stream cost a
-        queue peek, not a fresh array pass.
+        Peeks without consuming. Blocks are taken only while no stall is
+        queued and the next ``n`` draws are not all taken, so a scan takes
+        no block past the one holding the ``n``-th next draw, and repeated
+        scans over the same stretch cost a queue peek.
         """
-        if self._draws is None or n <= 0:
+        if self.stall_prob == 0.0:
             return -1
-        abs_pos = self._draw_abs
-        # Blocks are 256-aligned in absolute coordinates; the scalar path
-        # consumes draws without scanning, so the scan cursor may lag the
-        # consume cursor — never the current block's start.
-        base = abs_pos - self._draw_pos
-        if self._scanned_abs < base:
-            self._scanned_abs = base
         st = self._stalls
-        while st and st[0] < abs_pos:
-            st.pop(0)
-        target = abs_pos + n
-        while not st and self._scanned_abs < target:
-            self._scan_stall_block()
-            while st and st[0] < abs_pos:
-                st.pop(0)
+        target = self._drawn + n
+        while not st and self._scanned < target:
+            self._scan()
         if st and st[0] < target:
-            return st[0] - abs_pos
+            return st[0] - self._drawn
         return -1
-
-    def _scan_stall_block(self) -> None:
-        """Scan the next unscanned 256-draw block into :attr:`_stalls`."""
-        k = self._scanned_abs >> 8
-        kcur = (self._draw_abs - self._draw_pos) >> 8
-        if k == kcur:
-            block = self._draws
-        else:
-            i = k - kcur - 1
-            while len(self._pending) <= i:
-                self._pending.append(self._rng.random(256))
-            block = self._pending[i]
-        hits = np.nonzero(block < self.stall_prob)[0]  # type: ignore[operator]
-        if hits.size:
-            b = self._scanned_abs
-            self._stalls.extend(b + int(h) for h in hits)
-        self._scanned_abs += 256
-
-    def _peek_draw(self, i: int) -> float:
-        pos = self._draw_pos + i
-        if pos < 256:
-            return float(self._draws[pos])  # type: ignore[index]
-        block_i, off = divmod(pos - 256, 256)
-        while len(self._pending) <= block_i:
-            self._pending.append(self._rng.random(256))
-        return float(self._pending[block_i][off])
-
-    def _consume_draws(self, n: int) -> None:
-        self._draw_abs += n
-        pos = self._draw_pos + n
-        while pos >= 256:
-            if self._pending:
-                self._draws = self._pending.pop(0)
-            else:
-                self._draws = self._rng.random(256)
-            pos -= 256
-        self._draw_pos = pos
 
     def stream_left(self) -> int | None:
         """Ops left including ``current``, when knowable without pulling.
@@ -245,12 +206,11 @@ class Client:
         """Complete ``count`` ops in one step — ``count`` advance() calls.
 
         Contract (the engine establishes it via :meth:`stall_scan`): no
-        draw before the ``count``-th stalls. Only the last consumed draw
-        may stall; a run that ends the stream consumes ``count - 1``
-        draws (the advance onto a ``None`` op never draws), exactly like
-        the per-op path. The ops are skipped arithmetically, so the
-        stream must be a :class:`RepeatOps` (every skipped op equals
-        ``current``).
+        draw before the last one consumed stalls. A run that ends the
+        stream consumes ``count - 1`` draws (the advance onto a ``None``
+        op never draws), exactly like the per-op path. The ops are
+        skipped arithmetically, so the stream must be a
+        :class:`RepeatOps` (every skipped op equals ``current``).
         """
         ops = self._ops
         assert type(ops) is RepeatOps
@@ -260,17 +220,22 @@ class Client:
         if count < left:
             ops.left -= count
             self.current = ops.op
-            if self._draws is not None:
-                last = self._peek_draw(count - 1)
-                self._consume_draws(count)
-                if last < self.stall_prob:
-                    self.ready_at = now + 1
         else:
             ops.left = 0
             self.current = None
             self.done_at = now
-            if self._draws is not None and count > 1:
-                self._consume_draws(count - 1)
+            count -= 1
+        if count and self.stall_prob > 0.0:
+            last = self._drawn + count - 1
+            self._drawn = last + 1
+            while self._scanned <= last:
+                self._scan()
+            st = self._stalls
+            # with only indices kept, a stall skipped here would be lost
+            assert not st or st[0] >= last, "a bulk run skipped a stall"
+            if st and st[0] == last:
+                st.popleft()
+                self.ready_at = now + 1
 
 
 @dataclass

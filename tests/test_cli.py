@@ -26,6 +26,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize("command,flag,value", [
+        (cmd, flag, value)
+        for cmd, flags in [
+            (["run"], ("-c", "-m", "--capacity", "--scale")),
+            (["trace"], ("-c", "-m", "--capacity", "--scale", "--ring")),
+            (["sweep"], ("-c", "--scale", "-j")),
+            (["chaos", "flap"], ("-c", "-m", "--scale")),
+            (["serve"], ("-c", "-m", "--capacity", "--scale")),
+            (["figure", "table1"], ("--scale",)),
+            (["overhead"], ("-m",)),
+        ]
+        for flag in flags
+        for value in (("0", "-5", "nan", "inf")
+                      if flag in ("--capacity", "--scale") else ("0", "-1"))
+    ])
+    def test_rejects_out_of_range_numbers(self, command, flag, value, capsys):
+        """A zero or negative count, capacity or scale is a usage error
+        (exit 2), never a traceback from deep inside the run."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, value], out=io.StringIO())
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+        assert f"argument {flag}" in err or f"/{flag}" in err
+
 
 class TestList:
     def test_lists_everything(self):
